@@ -56,12 +56,11 @@ TARGET_EPOCH_SPEEDUP_350 = 3.0
 
 #: Per-backend no-regression floors for the epoch-loop gate. AWGR and
 #: electronic epochs are flow-pipeline-bound, so the batch path must
-#: strictly win. The WSS epoch is scheduler-bound: ~98% of its step is
-#: the centralized ``schedule_demand`` greedy (sequential by
-#: construction — shared output-port capacity couples the sources),
-#: identical on both paths, so the end-to-end ratio hovers at ~1.0x
-#: by Amdahl's law and the gate only guards against a real regression
-#: beyond timing noise.
+#: strictly win. The WSS epoch is scheduler-bound: nearly all of its
+#: step is the centralized scheduler (sequential over source rows,
+#: which share output-port capacity), identical on both paths, so the
+#: end-to-end ratio hovers near 1.0x by Amdahl's law and the gate only
+#: guards against a real regression beyond timing noise.
 EPOCH_FLOORS = {"awgr": 1.0, "electronic": 1.0, "wss": 0.9}
 
 

@@ -103,58 +103,95 @@ def schedule_demand(demand: np.ndarray, wavelengths_per_port: int,
         here so fractional-remainder leftovers land on *different*
         destination subsets per switch — otherwise every switch makes
         the same choice and the losing pairs get nothing fabric-wide.
+
+    Notes
+    -----
+    Sources are planned one after another (they share output-port
+    capacity), but each source's leftovers are granted in one masked
+    take: the first ``leftover`` *eligible* destinations in
+    ``np.argsort`` order, where eligible means not the source, positive
+    demand and spare output capacity. That is exactly what a walk over
+    the sorted destinations granting one wavelength at a time yields,
+    because eligibility cannot change during the walk: it visits each
+    destination once and a grant decrements only the capacity of the
+    destination just visited. The same holds for an idle source's
+    spread, which takes the first ``wavelengths_per_port`` eligible
+    peers in order of spare capacity. Parallel switches differ only
+    in stagger and in the output capacity they have left, so
+    :meth:`ReconfigurableFabric.reconfigure` plans the whole bank in
+    the same pass over rows; this function is its one-switch case.
     """
-    demand = np.asarray(demand, dtype=float)
+    return _schedule(np.array(demand, dtype=float), wavelengths_per_port,
+                     [stagger])[0]
+
+
+def _schedule(demand: np.ndarray, wavelengths_per_port: int,
+              staggers: list[int]) -> list[np.ndarray]:
+    """Plan parallel switches that share one demand estimate.
+
+    ``demand`` is a float array the planner owns: its diagonal is
+    zeroed in place. Returns one (N, N) assignment per stagger, the
+    ``s``-th equal to ``schedule_demand(demand, wavelengths_per_port,
+    staggers[s])``. The share, floor and remainder work depends only
+    on the source row, so each row computes it once for all S
+    switches; only output capacity, stagger and the grants are per
+    switch, held as (S, N) arrays.
+    """
     if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
         raise ValueError("demand must be square")
     if (demand < 0).any():
         raise ValueError("demand must be nonnegative")
     n = demand.shape[0]
     w = wavelengths_per_port
-    demand = demand.copy()
     np.fill_diagonal(demand, 0.0)
 
-    assignment = np.zeros((n, n), dtype=np.int64)
-    out_capacity = np.full(n, w, dtype=np.int64)
-    active = [s for s in range(n) if demand[s].sum() > 0]
-    idle = [s for s in range(n) if demand[s].sum() <= 0]
+    staggers = np.asarray(staggers, dtype=np.int64)[:, None]
+    assignments = [np.zeros((n, n), dtype=np.int64) for _ in staggers]
+    out_capacity = np.full((len(staggers), n), w, dtype=np.int64)
+    # Row s of an (S, N) array starts at flat index s * n.
+    offsets = np.arange(len(staggers))[:, None] * n
+    totals = demand.sum(axis=1)
+    # Stagger breaks remainder ties (and near-ties) differently on
+    # each parallel switch.
+    bias = ((np.arange(n) - staggers) % n) / (4.0 * n)
+
+    def grant(plan: np.ndarray, order: np.ndarray, eligible: np.ndarray,
+              counts) -> None:
+        # One more wavelength to each of the first counts[s] eligible
+        # destinations of order[s], on every switch s at once.
+        slots = order + offsets
+        ranked = eligible.take(slots)
+        ranked &= ranked.cumsum(axis=1) <= counts
+        won = slots[ranked]
+        plan.reshape(-1)[won] += 1
+        out_capacity.reshape(-1)[won] -= 1
 
     # Pass 1: sources with demand claim output capacity first, so
     # idle sources' reachability fallback cannot starve real traffic.
-    for src in active:
+    for src in np.flatnonzero(totals > 0):
         row = demand[src]
         share = row / row.sum() * w
-        base = np.floor(share).astype(np.int64)
-        base = np.minimum(base, out_capacity)
-        assignment[src] = base
-        out_capacity -= base
-        leftover = w - int(base.sum())
-        remainders = share - np.floor(share)
-        # Stagger breaks remainder ties (and near-ties) differently on
-        # each parallel switch.
-        bias = ((np.arange(n) - stagger) % n) / (4.0 * n)
-        for dst in np.argsort(-(remainders - bias)):
-            if leftover == 0:
-                break
-            if dst == src or row[dst] <= 0:
-                continue
-            if out_capacity[dst] > 0:
-                assignment[src, dst] += 1
-                out_capacity[dst] -= 1
-                leftover -= 1
+        floor = np.floor(share)
+        plan = np.minimum(floor.astype(np.int64), out_capacity)
+        out_capacity -= plan
+        leftover = w - plan.sum(axis=1, keepdims=True)
+        if leftover.any():
+            # The zeroed diagonal already keeps the source ineligible.
+            grant(plan, np.argsort(-((share - floor) - bias), axis=1),
+                  (row > 0) & (out_capacity > 0), leftover)
+        for assignment, planned in zip(assignments, plan):
+            assignment[src] = planned
 
     # Pass 2: idle sources spread one wavelength toward each peer with
     # spare output capacity (all-to-all reachability, §V-B spirit).
-    for src in idle:
-        budget = w
-        for dst in np.argsort(-out_capacity):
-            if dst == src or budget == 0:
-                continue
-            if out_capacity[dst] > 0:
-                assignment[src, dst] += 1
-                out_capacity[dst] -= 1
-                budget -= 1
-    return assignment
+    for src in np.flatnonzero(totals <= 0):
+        plan = np.zeros_like(out_capacity)
+        eligible = out_capacity > 0
+        eligible[:, src] = False
+        grant(plan, np.argsort(-out_capacity, axis=1), eligible, w)
+        for assignment, planned in zip(assignments, plan):
+            assignment[src] = planned
+    return assignments
 
 
 @dataclass
@@ -199,15 +236,17 @@ class ReconfigurableFabric:
 
         Demand is split evenly across the parallel switches (each sees
         1/n of the traffic), matching how an operator would stripe.
+        All switches are planned in one pass over the source rows.
         """
         per_switch = np.asarray(demand, dtype=float) / self.n_switches
-        for i, old in enumerate(self.configs):
-            stagger = (i * self.radix) // max(1, self.n_switches)
-            new = SwitchConfiguration(
-                self.radix, self.wavelengths_per_port,
-                schedule_demand(per_switch, self.wavelengths_per_port,
-                                stagger=stagger))
-            self.ports_disturbed += new.ports_changed(old)
+        staggers = [(i * self.radix) // max(1, self.n_switches)
+                    for i in range(len(self.configs))]
+        for i, assignment in enumerate(_schedule(
+                per_switch, self.wavelengths_per_port, staggers)):
+            new = SwitchConfiguration(self.radix,
+                                      self.wavelengths_per_port,
+                                      assignment)
+            self.ports_disturbed += new.ports_changed(self.configs[i])
             self.configs[i] = new
         self.reconfigurations += 1
         self.time_reconfiguring_s += (self.scheduler_latency_s
@@ -255,21 +294,27 @@ class ReconfigurableFabric:
         return sum(cfg.pair_gbps(src, dst, self.gbps_per_wavelength)
                    for cfg in self.configs)
 
+    def configured_gbps(self) -> np.ndarray:
+        """(N, N) bandwidth the current configuration provides per pair.
+
+        Summed switch by switch, left to right: served matrices and
+        fractions depend on that order bit for bit.
+        """
+        return sum(cfg.assignment.astype(float) * self.gbps_per_wavelength
+                   for cfg in self.configs)
+
     def served_fraction(self, demand: np.ndarray) -> float:
         """Fraction of offered demand the current configuration carries.
 
         min(demand, configured) summed over pairs / total demand.
         """
         demand = np.asarray(demand, dtype=float)
-        configured = sum(
-            cfg.assignment.astype(float) * self.gbps_per_wavelength
-            for cfg in self.configs)
         d = demand.copy()
         np.fill_diagonal(d, 0.0)
         total = d.sum()
         if total <= 0:
             return 1.0
-        return float(np.minimum(d, configured).sum() / total)
+        return float(np.minimum(d, self.configured_gbps()).sum() / total)
 
     def availability(self, window_s: float) -> float:
         """Fraction of a window the fabric was not reconfiguring."""

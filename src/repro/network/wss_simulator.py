@@ -38,15 +38,24 @@ class WSSSimulationReport:
 
     @property
     def throughput_ratio(self) -> float:
-        """Fraction of offered bandwidth carried across the run."""
+        """Fraction of offered bandwidth carried across the run.
+
+        A run that offered nothing reports 0.0, not 1.0: an idle run
+        must never read as a perfect fabric.
+        """
         if self.offered_gbps <= 0:
-            return 1.0
+            return 0.0
         return self.carried_gbps / self.offered_gbps
 
     @property
     def worst_slot_served(self) -> float:
-        """Served fraction in the worst slot (scheduler lag exposure)."""
-        return min(self.per_slot_served) if self.per_slot_served else 1.0
+        """Served fraction in the worst slot (scheduler lag exposure).
+
+        0.0 when the run offered nothing, like :attr:`throughput_ratio`.
+        """
+        if self.offered_gbps <= 0:
+            return 0.0
+        return min(self.per_slot_served, default=0.0)
 
     def as_dict(self) -> dict:
         """Plain-dict view for report rendering."""

@@ -376,10 +376,7 @@ class WSSBackend:
             downtime = (self.fabric.reconfig_time_s
                         + self.fabric.scheduler_latency_s)
             downtime_fraction = min(1.0, downtime / self.slot_time_s)
-        configured = sum(
-            cfg.assignment.astype(float) * self.gbps_per_wavelength
-            for cfg in self.fabric.configs)
-        served = (np.minimum(demand, configured)
+        served = (np.minimum(demand, self.fabric.configured_gbps())
                   * (1.0 - downtime_fraction))
         return served, reconfigured, downtime_fraction
 

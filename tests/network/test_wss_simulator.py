@@ -62,10 +62,14 @@ class TestRun:
         assert report.throughput_ratio == pytest.approx(0.0)
 
     def test_empty_slots_ok(self):
-        sim = WSSNetworkSimulator(n_nodes=8)
-        report = sim.run([[], []])
-        assert report.throughput_ratio == 1.0
-        assert report.offered_gbps == 0.0
+        # An idle run must not read as a perfect fabric, with or
+        # without slots.
+        for slots in ([[], []], []):
+            report = WSSNetworkSimulator(n_nodes=8).run(slots)
+            assert report.throughput_ratio == 0.0
+            assert report.worst_slot_served == 0.0
+            assert report.offered_gbps == 0.0
+            assert report.as_dict()["worst_slot_served"] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
