@@ -48,8 +48,8 @@ def run_suite(quick: bool = False) -> dict:
 
     def runner(cache, **kwargs):
         return ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=chunk_epochs, base_seed=11,
-            cache=cache, **kwargs)
+            scenario, "awgr", chunk_epochs=chunk_epochs,
+            boundary="reset", base_seed=11, cache=cache, **kwargs)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)

@@ -273,10 +273,6 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         if args.repeats > 1:
             raise SystemExit("scenario: --repeats and --shards are "
                              "mutually exclusive")
-        if args.seeding != "per-epoch":
-            raise SystemExit(
-                "scenario: --shards requires per-epoch seeding "
-                "(sequential streams are not shardable)")
         if (args.shard_index is not None
                 and not 0 <= args.shard_index < args.shards):
             raise SystemExit("scenario: --shard-index must be in "
@@ -316,8 +312,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             scenario,
             lambda seed: make_backend(args.backend, scenario.n_nodes,
                                       seed=seed),
-            repeats=args.repeats, base_seed=args.seed,
-            seeding=args.seeding)
+            repeats=args.repeats, base_seed=args.seed)
         rows = [{"metric": name, **ci}
                 for name, ci in metrics.items()]
         print(render_table(
@@ -326,8 +321,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         return
     backend = make_backend(args.backend, scenario.n_nodes,
                            seed=args.seed)
-    report = ScenarioRunner(scenario, backend,
-                            seeding=args.seeding).run(seed=args.seed)
+    report = ScenarioRunner(scenario, backend).run(seed=args.seed)
     print(render_table(report.rows(), title=f"{title} — per-epoch"))
     print()
     print(render_kv(report.as_dict(), title="Aggregate"))
@@ -623,15 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the small built-in demo scenario")
             p.add_argument("--list", action="store_true",
                            help="list registered scenarios and exit")
-            p.add_argument("--seeding", default="per-epoch",
-                           choices=("per-epoch", "sequential"),
-                           help="epoch-seed mode: per-epoch (default, "
-                                "shardable) or sequential (pre-"
-                                "sharding compatibility streams)")
             p.add_argument("--shards", type=int, default=None,
                            help="run as a chunked, checkpointed "
-                                "replay split across N shards "
-                                "(per-epoch seeding)")
+                                "replay split across N shards")
             p.add_argument("--shard-index", type=int, default=None,
                            help="with --shards: run only this shard's "
                                 "chunks (omit to drive every chunk "
@@ -640,15 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="epochs per checkpointed chunk "
                                 "(default: 1440, one day of 1-minute "
                                 "epochs)")
-            p.add_argument("--boundary", default="reset",
+            p.add_argument("--boundary", default="carry",
                            choices=("reset", "carry"),
-                           help="chunk-boundary mode: reset (default; "
-                                "fresh backend per chunk, any shard "
-                                "computes any chunk) or carry "
-                                "(restore the previous chunk's "
+                           help="chunk-boundary mode: carry (default; "
+                                "restore the previous chunk's "
                                 "backend snapshot — bit-identical to "
                                 "a monolithic run, chunks pipeline "
-                                "in order)")
+                                "in order) or reset (fresh backend "
+                                "per chunk, any shard computes any "
+                                "chunk)")
             p.add_argument("--workers", type=int, default=1,
                            help="process-pool width for this "
                                 "process's chunks (default: 1)")

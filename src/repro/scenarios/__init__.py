@@ -89,7 +89,6 @@ from repro.scenarios.runner import (
     run_replicated,
 )
 from repro.scenarios.scenario import (
-    SEEDING_MODES,
     Scenario,
     ScenarioEvent,
     derive_epoch_seed,
@@ -126,7 +125,6 @@ __all__ = [
     "FabricBackend",
     "FullMeshBackend",
     "SCENARIOS",
-    "SEEDING_MODES",
     "Scenario",
     "ScenarioEvent",
     "ScenarioReport",

@@ -3,17 +3,17 @@
 The paper's Fig. 12 compares the photonic fabric against one
 electronic baseline at one operating point. The arena generalizes
 that into a standing harness: every registered backend races the
-*same* scenario stream in a single pass — each epoch's events are
+*same* scenario stream in a single pass of the shared epoch kernel
+:func:`~repro.scenarios.runner.play_epochs` — each epoch's events are
 applied to every contender, the epoch's :class:`FlowBatch` is
 generated **once** (counter-seeded
 :meth:`~repro.scenarios.scenario.Scenario.flow_batch_at`, so traffic
 is a pure function of ``(epoch, seed)``), and every backend steps on
-the shared batch. Because a backend only ever reads the batch and
-the per-epoch order (events, then traffic) matches
-:meth:`~repro.scenarios.runner.ScenarioRunner.step_epochs` exactly,
-the per-backend report streams are bit-identical to M independent
-``ScenarioRunner`` runs — proven by test — while generating and
-validating the traffic exactly once instead of M times.
+the shared batch. A solo
+:class:`~repro.scenarios.runner.ScenarioRunner` run is the same
+kernel with one contender, so the per-backend report streams are
+bit-identical to M independent runs — proven by test — while the
+traffic is generated and validated once instead of M times.
 
 On top of the race, :class:`ArenaReport` places every contender with
 a power model on the §VI-E iso-performance / iso-power frontiers
@@ -40,7 +40,7 @@ from repro.scenarios.registry import (
     backend_info,
     make_backend,
 )
-from repro.scenarios.runner import ScenarioReport
+from repro.scenarios.runner import ScenarioReport, play_epochs
 from repro.scenarios.scenario import Scenario
 
 __all__ = ["ArenaReport", "run_arena"]
@@ -126,10 +126,6 @@ def run_arena(scenario: Scenario,
     backend_params:
         Optional per-backend constructor overrides,
         ``{name: {param: value}}``; keys must name raced backends.
-
-    Uses per-epoch counter seeding only (the mode where traffic is
-    position-independent, which is what makes sharing one generated
-    batch across contenders exact).
     """
     names = tuple(backends) if backends is not None \
         else available_backends()
@@ -142,29 +138,16 @@ def run_arena(scenario: Scenario,
     if unknown:
         raise ValueError(
             f"backend_params for backends not in the race: {unknown}")
-    contenders = {
-        name: make_backend(name, scenario.n_nodes, seed=seed,
-                           **params.get(name, {}))
-        for name in names}
+    contenders = [make_backend(name, scenario.n_nodes, seed=seed,
+                               **params.get(name, {}))
+                  for name in names]
     arena = ArenaReport(scenario=scenario.name, seed=seed)
     for name in names:
         arena.reports[name] = ScenarioReport(
             scenario=scenario.name, backend=name)
-    for epoch in range(scenario.n_epochs):
-        events = scenario.events_at(epoch)
-        for name in names:
-            report = arena.reports[name]
-            for event in events:
-                if contenders[name].apply_event(event):
-                    report.events_applied += 1
-                else:
-                    report.events_ignored += 1
-        batch = scenario.flow_batch_at(epoch, base_seed=seed)
-        for name in names:
-            arena.reports[name].epochs.append(
-                contenders[name].step(batch))
-    for name in names:
-        arena.power_w[name] = (
-            float(contenders[name].power_w())
-            if backend_info(name).power else None)
+    play_epochs(scenario, contenders, tuple(arena.reports.values()), 0,
+                scenario.n_epochs, seed)
+    for name, backend in zip(names, contenders, strict=True):
+        arena.power_w[name] = (float(backend.power_w())
+                               if backend_info(name).power else None)
     return arena

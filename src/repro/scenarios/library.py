@@ -231,9 +231,7 @@ def scenario_task(config: dict, seed: int):
     keys (:data:`BACKEND_PARAM_KEYS`) pass through to the constructor.
     ``config["rng_seed"]`` pins the run for bit-identical replays;
     omit it to let the engine-derived ``seed`` resample per task (the
-    ``repeated()`` multi-seed path). ``config["seeding"]`` selects the
-    epoch-seed mode ("per-epoch" default; "sequential" replays the
-    pre-sharding threaded-generator streams).
+    ``repeated()`` multi-seed path).
     """
     described = config["scenario"]
     scenario = (get_scenario(described) if isinstance(described, str)
@@ -244,9 +242,7 @@ def scenario_task(config: dict, seed: int):
     params = {k: config[k] for k in BACKEND_PARAM_KEYS if k in config}
     backend = make_backend(config["backend"], scenario.n_nodes,
                            seed=run_seed, **params)
-    return ScenarioRunner(
-        scenario, backend,
-        seeding=config.get("seeding", "per-epoch")).run(seed=run_seed)
+    return ScenarioRunner(scenario, backend).run(seed=run_seed)
 
 
 def scenario_metrics(report) -> dict:

@@ -1,10 +1,14 @@
 """Scenario execution: epochs in, streamed metrics out.
 
-:class:`ScenarioRunner` advances a scenario's epoch clock against one
-fabric backend: each epoch it first applies the events scripted for
-that epoch (plane failures, repairs, reconfiguration-lag changes),
-then generates the epoch's flow batch from the active episodes and
-feeds it to the backend. The per-epoch
+:func:`play_epochs` is the one epoch loop every execution path shares:
+each epoch it first applies the events scripted for that epoch (plane
+failures, repairs, reconfiguration-lag changes) to every backend, then
+generates the epoch's flow batch once from the active episodes under
+counter-based per-epoch seeding and steps every backend on it.
+:class:`ScenarioRunner` plays it against one backend, the arena
+(:func:`~repro.scenarios.arena.run_arena`) against many, a sharded
+chunk (:func:`~repro.scenarios.sharding.execute_chunk`) over one epoch
+range, and a service session one epoch at a time. The per-epoch
 :class:`~repro.scenarios.backends.EpochReport` stream accumulates into
 a :class:`ScenarioReport` whose aggregates (accepted / blocked Gbps,
 indirect-route fraction, p50/p99 per-flow slowdown) reduce through
@@ -14,12 +18,12 @@ dict the sweep engine caches.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import mean_ci, quantiles
-from repro.network.traffic import as_generator
 from repro.scenarios.backends import EpochReport, FabricBackend
-from repro.scenarios.scenario import SEEDING_MODES, Scenario
+from repro.scenarios.scenario import Scenario
 
 
 @dataclass
@@ -114,40 +118,57 @@ class ScenarioReport:
         return [e.as_row() for e in self.epochs]
 
 
+def play_epochs(scenario: Scenario, backends: Sequence[FabricBackend],
+                reports: Sequence[ScenarioReport], start: int,
+                stop: int, seed: int) -> None:
+    """Advance epochs ``[start, stop)`` of ``scenario`` on every backend.
+
+    The one epoch loop: each epoch's scripted events are applied to
+    every backend first (counted as applied or ignored on that
+    backend's report), then the epoch's traffic is generated **once**
+    with :meth:`~repro.scenarios.scenario.Scenario.flow_batch_at` and
+    every backend steps on the shared batch. A backend only reads the
+    batch, so each backend's stream is bit-identical to playing it
+    alone. ``reports[i]`` receives ``backends[i]``'s
+    :class:`~repro.scenarios.backends.EpochReport` per epoch, stamped
+    with the absolute epoch (a backend counts only the epochs it
+    stepped itself).
+    """
+    if not 0 <= start <= stop <= scenario.n_epochs:
+        raise ValueError(
+            f"epoch range [{start}, {stop}) outside "
+            f"[0, {scenario.n_epochs}]")
+    pairs = list(zip(backends, reports, strict=True))
+    for epoch in range(start, stop):
+        events = scenario.events_at(epoch)
+        for backend, report in pairs:
+            for event in events:
+                if backend.apply_event(event):
+                    report.events_applied += 1
+                else:
+                    report.events_ignored += 1
+        batch = scenario.flow_batch_at(epoch, base_seed=seed)
+        for backend, report in pairs:
+            stepped = backend.step(batch)
+            stepped.epoch = epoch
+            report.epochs.append(stepped)
+
+
 @dataclass
 class ScenarioRunner:
-    """Drives one scenario through one fabric backend.
-
-    Parameters
-    ----------
-    scenario, backend:
-        What to play and what to play it against.
-    seeding:
-        ``"per-epoch"`` (default) derives an independent counter-based
-        seed per epoch via
-        :func:`~repro.scenarios.scenario.derive_epoch_seed`, so the
-        epoch stream is bit-identical to what
-        :class:`~repro.scenarios.sharding.ShardedScenarioRunner`
-        workers generate for their slices. ``"sequential"`` restores
-        the historical single threaded generator (not bit-compatible
-        with per-epoch mode — see the module docstring of
-        :mod:`repro.scenarios.scenario` for the bit-exactness story).
-    """
+    """Drives one scenario through one fabric backend: the
+    :func:`play_epochs` kernel with a single contender."""
 
     scenario: Scenario
     backend: FabricBackend
-    seeding: str = "per-epoch"
 
     def run(self, seed: int = 0) -> ScenarioReport:
         """Play the scenario end to end and aggregate the epochs."""
-        rng = (as_generator(seed) if self.seeding == "sequential"
-               else None)
-        return self.step_epochs(0, self.scenario.n_epochs, seed=seed,
-                                rng=rng)
+        return self.step_epochs(0, self.scenario.n_epochs, seed=seed)
 
     def step_epochs(self, start: int, stop: int, seed: int = 0,
-                    report: ScenarioReport | None = None,
-                    rng=None) -> ScenarioReport:
+                    report: ScenarioReport | None = None
+                    ) -> ScenarioReport:
         """Advance epochs ``[start, stop)`` against the live backend.
 
         The reentrant core of :meth:`run`: because the backend carries
@@ -161,43 +182,18 @@ class ScenarioRunner:
         monolithic run.
 
         ``report`` accumulates across calls (a fresh one is created
-        when omitted). ``rng`` is required for — and only used by —
-        ``"sequential"`` seeding, where the caller owns the threaded
-        generator; thread the *same* generator through successive
-        calls to match a monolithic sequential run.
+        when omitted).
         """
-        if self.seeding not in SEEDING_MODES:
-            raise ValueError(f"unknown seeding {self.seeding!r} "
-                             f"(known: {SEEDING_MODES})")
-        if not 0 <= start <= stop <= self.scenario.n_epochs:
-            raise ValueError(
-                f"epoch range [{start}, {stop}) outside "
-                f"[0, {self.scenario.n_epochs}]")
-        if self.seeding == "sequential" and rng is None:
-            raise ValueError(
-                "sequential seeding threads one generator through "
-                "every epoch; pass the caller-owned rng")
         if report is None:
             report = ScenarioReport(scenario=self.scenario.name,
                                     backend=self.backend.name)
-        for epoch in range(start, stop):
-            for event in self.scenario.events_at(epoch):
-                if self.backend.apply_event(event):
-                    report.events_applied += 1
-                else:
-                    report.events_ignored += 1
-            if self.seeding == "sequential":
-                batch = self.scenario.flow_batch(epoch, rng)
-            else:
-                batch = self.scenario.flow_batch_at(epoch,
-                                                    base_seed=seed)
-            report.epochs.append(self.backend.step(batch))
+        play_epochs(self.scenario, (self.backend,), (report,), start,
+                    stop, seed)
         return report
 
 
 def run_replicated(scenario: Scenario, make_backend_fn, repeats: int,
-                   base_seed: int = 0, confidence: float = 0.95,
-                   seeding: str = "per-epoch"
+                   base_seed: int = 0, confidence: float = 0.95
                    ) -> dict[str, dict[str, float]]:
     """Run a scenario ``repeats`` times at seeds ``base_seed + i`` and
     reduce each aggregate metric to a mean with a normal-approx CI.
@@ -211,7 +207,7 @@ def run_replicated(scenario: Scenario, make_backend_fn, repeats: int,
     for i in range(repeats):
         seed = base_seed + i
         backend = make_backend_fn(seed)
-        runs.append(ScenarioRunner(scenario, backend, seeding=seeding)
+        runs.append(ScenarioRunner(scenario, backend)
                     .run(seed=seed).as_dict())
     numeric = [k for k, v in runs[0].items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)]

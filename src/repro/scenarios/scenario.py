@@ -10,21 +10,15 @@ round-trip losslessly through ``to_config``/``from_config`` so they
 can ride inside :class:`~repro.experiments.spec.ExperimentSpec`
 configs and hash stably into the result cache.
 
-Epoch randomness comes in two flavors:
-
-* **counter-based per-epoch seeds** (:func:`derive_epoch_seed`,
-  :meth:`Scenario.batch_at`) — every epoch owns an independent RNG
-  derived from (scenario name, base seed, epoch counter), so epoch
-  ``k``'s flows never depend on epochs ``0..k-1`` having been drawn.
-  This is what makes epoch ranges *shardable*: any worker can
-  generate any ``[start, stop)`` slice bit-identically to the full
-  run. The default everywhere since the sharded runner landed.
-* **one sequential generator** (:meth:`Scenario.batch` /
-  :meth:`Scenario.batches`) — the historical mode, where a single
-  RNG threads through all epochs in order. Kept as an explicit
-  compatibility path (``seeding="sequential"`` on the runners) for
-  replaying results pinned before per-epoch seeding; its streams are
-  *not* bit-compatible with the per-epoch mode.
+Epoch randomness is counter-based (:func:`derive_epoch_seed`,
+:meth:`Scenario.flow_batch_at`): every epoch owns an independent RNG
+derived from (scenario name, base seed, epoch counter), so epoch
+``k``'s flows never depend on epochs ``0..k-1`` having been drawn.
+This is what makes epoch ranges *shardable*: any worker can generate
+any ``[start, stop)`` slice bit-identically to the full run. The one
+epoch loop, :func:`~repro.scenarios.runner.play_epochs`, calls
+:meth:`Scenario.flow_batch_at` once per epoch for every backend it
+drives.
 """
 
 from __future__ import annotations
@@ -34,11 +28,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.network.traffic import Flow, FlowBatch, as_generator
+from repro.network.traffic import Flow, FlowBatch
 from repro.scenarios.episodes import Episode
-
-#: Seeding modes the runners accept.
-SEEDING_MODES = ("per-epoch", "sequential")
 
 
 def derive_epoch_seed(scenario: "Scenario | str", epoch: int,
@@ -137,10 +128,10 @@ class Scenario:
     def batch(self, epoch: int, rng: np.random.Generator) -> list[Flow]:
         """All active episodes' flows for one epoch, concatenated.
 
-        Draws from the caller's ``rng`` in place — the *sequential*
-        seeding mode. Use :meth:`batch_at` for the shardable
-        per-epoch-seed mode. Object-path compatibility view over
-        :meth:`flow_batch` (same flows, same RNG consumption).
+        Draws from the caller's ``rng`` in place; :meth:`batch_at`
+        supplies the epoch's own counter-seeded generator.
+        Object-path compatibility view over :meth:`flow_batch` (same
+        flows, same RNG consumption).
         """
         return self.flow_batch(epoch, rng).to_flows()
 
@@ -153,12 +144,6 @@ class Scenario:
             episode.generate_batch(epoch, self.n_epochs,
                                    self.n_nodes, rng)
             for episode in self.episodes])
-
-    def batches(self, rng) -> list[list[Flow]]:
-        """Materialize every epoch's batch from one threaded generator
-        (seed-like or Generator; the *sequential* seeding mode)."""
-        rng = as_generator(rng)
-        return [self.batch(epoch, rng) for epoch in range(self.n_epochs)]
 
     def epoch_rng(self, epoch: int,
                   base_seed: int = 0) -> np.random.Generator:

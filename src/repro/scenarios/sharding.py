@@ -34,14 +34,14 @@ Chunk-boundary semantics come in two modes (``boundary=``):
   ``chunk_epochs`` is part of the run's cache identity. Chunks are
   mutually independent, so any shard can compute any chunk in any
   order — the coordination-free story above.
-* ``"carry"`` — each chunk checkpoint also stores the end-of-chunk
-  backend ``snapshot()``, and chunk ``k`` *restores* chunk ``k-1``'s
-  snapshot instead of replaying pre-chunk events: in-flight flows,
-  wavelength occupancy, and RNG state all cross the boundary, so the
-  merged aggregates are **bit-identical to a monolithic**
-  :class:`~repro.scenarios.runner.ScenarioRunner` run at any chunk
-  size — and the boundary costs O(state) restore instead of the
-  reset mode's O(events x chunk index) replay. The price is
+* ``"carry"`` (the default) — each chunk checkpoint also stores the
+  end-of-chunk backend ``snapshot()``, and chunk ``k`` *restores*
+  chunk ``k-1``'s snapshot instead of replaying pre-chunk events:
+  in-flight flows, wavelength occupancy, and RNG state all cross the
+  boundary, so the merged aggregates are **bit-identical to a
+  monolithic** :class:`~repro.scenarios.runner.ScenarioRunner` run at
+  any chunk size — and the boundary costs O(state) restore instead of
+  the reset mode's O(events x chunk index) replay. The price is
   sequential dependence: chunks pipeline in index order through the
   shared cache (a shard can only compute a chunk once its
   predecessor's checkpoint exists), so carry mode trades reset
@@ -49,9 +49,11 @@ Chunk-boundary semantics come in two modes (``boundary=``):
   works chunk-by-chunk: an interrupted run picks up from the last
   checkpointed snapshot.
 
-In both modes a single-chunk run is bit-identical to a monolithic
-per-epoch-seeded :class:`~repro.scenarios.runner.ScenarioRunner` run
-whose backend was seeded with :func:`chunk_backend_seed`.
+In both modes a chunk's epochs run through the shared epoch kernel
+:func:`~repro.scenarios.runner.play_epochs`, so a single-chunk run is
+bit-identical to a monolithic
+:class:`~repro.scenarios.runner.ScenarioRunner` run whose backend was
+seeded with :func:`chunk_backend_seed`.
 
 This module deliberately never imports ``repro.experiments`` (the
 dependency stays one-directional): the checkpoint store is duck-typed
@@ -70,7 +72,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from repro.scenarios.backends import EpochReport, make_backend
-from repro.scenarios.runner import ScenarioReport
+from repro.scenarios.runner import ScenarioReport, play_epochs
 from repro.scenarios.scenario import Scenario, derive_epoch_seed
 
 #: Bump when chunk-execution semantics change: invalidates every
@@ -147,7 +149,9 @@ def execute_chunk(scenario_config: dict, backend: str,
                   base_seed: int, boundary: str = "reset",
                   snapshot: dict | None = None) -> dict:
     """Run epochs ``[start, stop)``; return the JSON-stable checkpoint
-    payload (module-level so it pickles into worker processes).
+    payload (module-level so it pickles into worker processes). A
+    range outside ``[0, n_epochs]`` of the scenario raises
+    ``ValueError``.
 
     In ``"reset"`` mode events scripted before ``start`` are replayed
     on a fresh backend first, so persistent backend state (failed
@@ -190,23 +194,15 @@ def execute_chunk(scenario_config: dict, backend: str,
             for event in scenario.events_at(epoch):
                 if fabric.apply_event(event):
                     replayed += 1
-    applied = ignored = 0
-    reports: list[EpochReport] = []
-    for epoch in range(start, stop):
-        for event in scenario.events_at(epoch):
-            if fabric.apply_event(event):
-                applied += 1
-            else:
-                ignored += 1
-        report = fabric.step(scenario.flow_batch_at(epoch, base_seed))
-        report.epoch = epoch  # absolute, not chunk-relative
-        reports.append(report)
+    report = ScenarioReport(scenario=scenario.name, backend=backend)
+    play_epochs(scenario, (fabric,), (report,), start, stop, base_seed)
     end_state = fabric.snapshot() if boundary == "carry" else None
     payload = {"start": start, "stop": stop, "boundary": boundary,
-               "events_applied": applied, "events_ignored": ignored,
+               "events_applied": report.events_applied,
+               "events_ignored": report.events_ignored,
                "events_replayed": replayed,
                "duration_s": time.perf_counter() - t0,
-               "epochs": [r.to_dict() for r in reports]}
+               "epochs": [e.to_dict() for e in report.epochs]}
     if end_state is not None:
         payload["snapshot"] = end_state
     return payload
@@ -237,7 +233,7 @@ class ShardedScenarioResult:
     chunk_epochs: int
     shards: int
     shard_index: int | None
-    boundary: str = "reset"
+    boundary: str = "carry"
     chunks: list[ChunkStatus] = field(default_factory=list)
     payloads: dict[int, dict] = field(default_factory=dict)
     wall_s: float = 0.0
@@ -332,13 +328,13 @@ class ShardedScenarioRunner:
         Part of the run's identity: runs with different chunk sizes
         have different (both valid) chunk-boundary semantics.
     boundary:
-        Chunk-boundary mode (:data:`BOUNDARY_MODES`). ``"reset"``
-        (default) starts every chunk on a fresh backend with pre-chunk
-        events replayed — coordination-free, but in-flight flows are
-        dropped at boundaries. ``"carry"`` restores the previous
-        chunk's checkpointed backend snapshot, making the merged run
-        bit-identical to a monolithic one at the cost of sequential
-        chunk dependence (see the module docstring).
+        Chunk-boundary mode (:data:`BOUNDARY_MODES`). ``"carry"``
+        (default) restores the previous chunk's checkpointed backend
+        snapshot, making the merged run bit-identical to a monolithic
+        one at the cost of sequential chunk dependence (see the
+        module docstring). ``"reset"`` starts every chunk on a fresh
+        backend with pre-chunk events replayed — coordination-free,
+        but in-flight flows are dropped at boundaries.
     shards, shard_index:
         ``shard_index=None`` (default) drives every chunk from this
         process. An integer runs only the ``index % shards ==
@@ -368,7 +364,7 @@ class ShardedScenarioRunner:
     backend: str = "awgr"
     backend_params: dict = field(default_factory=dict)
     chunk_epochs: int = 1440
-    boundary: str = "reset"
+    boundary: str = "carry"
     shards: int = 1
     shard_index: int | None = None
     base_seed: int = 0

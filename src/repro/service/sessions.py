@@ -28,9 +28,11 @@ That identity buys the three service verbs for free:
   diverges under its own scripted events — bit-identical to the
   parent up to ``N``, sharing no mutable state after it.
 
-Sessions advance through
-:meth:`~repro.scenarios.runner.ScenarioRunner.step_epochs`, the same
-reentrant core a monolithic run uses, so the service's epoch streams
+Sessions advance one epoch at a time through
+:meth:`~repro.scenarios.runner.ScenarioRunner.step_epochs`, and
+rebuild a backend at any past epoch (attach, fork) the same way: so
+every epoch runs in :func:`~repro.scenarios.runner.play_epochs`, the
+one epoch loop a monolithic run uses, and the service's epoch streams
 are the scenario engine's, not a reimplementation.
 """
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from repro.checks.runtime import new_condition, watch_guarded
 from repro.scenarios.backends import EpochReport, make_backend
 from repro.scenarios.runner import ScenarioReport, ScenarioRunner
-from repro.scenarios.scenario import Scenario, ScenarioEvent
+from repro.scenarios.scenario import Scenario
 
 #: Bump when the serialized session record changes shape: retires
 #: every suspended session in every store (the session analog of the
@@ -121,7 +123,6 @@ class Session:
                              f"(known: {SESSION_STATES})")
         # Process-local machinery, never serialized.
         self._backend = None
-        self._runner: ScenarioRunner | None = None
         #: Condition notified on every appended epoch and every state
         #: change — what SSE streams and pool waiters block on.
         self.updated = new_condition("Session.updated")
@@ -137,7 +138,7 @@ class Session:
             self, self.updated,
             write_attrs=("state", "cursor", "events_applied",
                          "events_ignored", "error", "recoveries",
-                         "suspend_requested", "_backend", "_runner"),
+                         "suspend_requested", "_backend"),
             read_attrs=("reports", "event_counts", "checkpoints"))
 
     # -- factories -------------------------------------------------------------
@@ -170,42 +171,47 @@ class Session:
     def done(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def _attach(self):
-        """Materialize (or reuse) the live backend at ``cursor``.
+    def _backend_at(self, epoch: int):
+        """A fresh backend at epoch cursor ``epoch``.
 
-        A fresh backend is constructed exactly as a monolithic
-        ``ScenarioRunner`` run would build it, then restored from the
-        newest checkpoint at or before the cursor and replayed forward
-        to it — so attachment is exact wherever the cursor sits.
+        Constructed exactly as a monolithic ``ScenarioRunner`` run
+        would build it, restored from the newest checkpoint at or
+        before ``epoch`` and replayed forward to it (reports for the
+        replayed gap already exist, so the duplicates are discarded)
+        — exact wherever ``epoch`` sits, by per-epoch seeding plus
+        the snapshot guarantee. Never touches the live backend.
         """
         with self.updated:
-            if self._backend is not None:
-                return self._backend
-            cursor = self.cursor
-            anchors = [e for e in self.checkpoints if e <= cursor]
-            at = max(anchors) if anchors else 0
+            anchors = [e for e in self.checkpoints if e <= epoch]
+            at = max(anchors, default=0)
             snap = (json_roundtrip(self.checkpoints[at])
                     if anchors else None)
-        # Construct/restore/replay outside the lock — the expensive
-        # part — then commit the attachment under it. Only the owning
-        # worker attaches, so the double build this could allow never
-        # happens in practice (and would be benign: last one wins).
         backend = make_backend(self.backend_name,
                                self.scenario.n_nodes,
                                seed=self.base_seed,
                                **self.backend_params)
-        runner = ScenarioRunner(self.scenario, backend)
         if snap is not None:
             backend.restore(snap)
-        if at < cursor:
-            # Replay the gap (crash between checkpoints); reports for
-            # these epochs already exist, so discard the duplicates.
-            runner.step_epochs(at, cursor, seed=self.base_seed)
+        if at < epoch:
+            ScenarioRunner(self.scenario, backend).step_epochs(
+                at, epoch, seed=self.base_seed)
+        return backend
+
+    def _attach(self):
+        """Materialize (or reuse) the live backend at ``cursor``."""
+        with self.updated:
+            if self._backend is not None:
+                return self._backend
+            cursor = self.cursor
+        # Build outside the lock — the expensive part — then commit
+        # the attachment under it. Only the owning worker attaches, so
+        # the double build this could allow never happens in practice
+        # (and would be benign: last one wins).
+        backend = self._backend_at(cursor)
         with self.updated:
             if 0 not in self.checkpoints and self.cursor == 0:
                 self.checkpoints[0] = backend.snapshot()
             self._backend = backend
-            self._runner = runner
         return backend
 
     def advance(self, max_epochs: int) -> int:
@@ -220,8 +226,8 @@ class Session:
         if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         backend = self._attach()
+        runner = ScenarioRunner(self.scenario, backend)
         with self.updated:
-            runner = self._runner
             epoch = self.cursor
             stop_requested = self.suspend_requested
         ran = 0
@@ -248,7 +254,6 @@ class Session:
             self._set_state("completed")
             with self.updated:
                 self._backend = None
-                self._runner = None
         return ran
 
     def recover(self) -> int:
@@ -264,7 +269,6 @@ class Session:
         """
         with self.updated:
             self._backend = None
-            self._runner = None
             anchors = [e for e in self.checkpoints if e <= self.cursor]
             back_to = max(anchors) if anchors else 0
             dropped = self.cursor - back_to
@@ -293,7 +297,6 @@ class Session:
         """Mark the session terminally failed."""
         with self.updated:
             self._backend = None
-            self._runner = None
         self._set_state("failed", error=error)
 
     # -- suspend / resume ------------------------------------------------------
@@ -318,10 +321,7 @@ class Session:
                     self.recover()
                 else:
                     self._attach()
-                    self._backend = None
-                    self._runner = None
             self._backend = None
-            self._runner = None
             self.suspend_requested = False
             self.state = "suspended"
             self.updated.notify_all()
@@ -399,23 +399,7 @@ class Session:
             raise ValueError(
                 f"epoch {epoch} outside the computed range "
                 f"[0, {self.cursor}]")
-        with self.updated:
-            anchors = [e for e in self.checkpoints if e <= epoch]
-            anchor = max(anchors) if anchors else None
-            snap = (json_roundtrip(self.checkpoints[anchor])
-                    if anchor is not None else None)
-        backend = make_backend(self.backend_name,
-                               self.scenario.n_nodes,
-                               seed=self.base_seed,
-                               **self.backend_params)
-        at = 0
-        if snap is not None:
-            backend.restore(snap)
-            at = anchor
-        if at < epoch:
-            ScenarioRunner(self.scenario, backend).step_epochs(
-                at, epoch, seed=self.base_seed)
-        return backend.snapshot()
+        return self._backend_at(epoch).snapshot()
 
     def fork(self, child_id: str, at_epoch: int,
              events: tuple = (), n_epochs: int | None = None
@@ -496,9 +480,6 @@ class Session:
         with self.updated:
             return self.updated.wait_for(lambda: predicate(self),
                                          timeout=timeout)
-
-
-ScenarioEvent  # re-exported via service.protocol; keeps import used
 
 
 # -- the ResultCache-backed session store -------------------------------------

@@ -113,38 +113,10 @@ class TestSeedingModes:
         scenario = scripted_scenario(
             flows={"dist": "poisson", "mean": 6})
         runner = ScenarioRunner(scenario, make_backend("awgr", 8))
-        assert runner.seeding == "per-epoch"
         report = runner.run(seed=3)
         offered = [e.offered for e in report.epochs]
         assert offered == [len(scenario.batch_at(i, base_seed=3))
                            for i in range(scenario.n_epochs)]
-
-    def test_sequential_mode_replays_threaded_generator(self):
-        from repro.network.traffic import as_generator
-        scenario = scripted_scenario(
-            flows={"dist": "poisson", "mean": 6})
-        report = ScenarioRunner(scenario, make_backend("awgr", 8),
-                                seeding="sequential").run(seed=3)
-        rng = as_generator(3)
-        expected = [len(scenario.batch(i, rng))
-                    for i in range(scenario.n_epochs)]
-        assert [e.offered for e in report.epochs] == expected
-
-    def test_modes_differ_for_stochastic_scenarios(self):
-        scenario = scripted_scenario(
-            flows={"dist": "poisson", "mean": 6})
-        per_epoch = ScenarioRunner(scenario,
-                                   make_backend("awgr", 8)).run(seed=3)
-        sequential = ScenarioRunner(scenario, make_backend("awgr", 8),
-                                    seeding="sequential").run(seed=3)
-        assert per_epoch.rows() != sequential.rows()
-
-    def test_unknown_mode_rejected(self):
-        runner = ScenarioRunner(scripted_scenario(),
-                                make_backend("awgr", 8),
-                                seeding="bogus")
-        with pytest.raises(ValueError, match="seeding"):
-            runner.run(seed=0)
 
 
 class TestRunReplicated:
@@ -205,29 +177,15 @@ class TestStepEpochs:
         assert cursor == scenario.n_epochs
         assert report.rows() == whole.rows()
 
-    def test_sequential_seeding_threads_the_rng(self):
-        from repro.network.traffic import as_generator
-        scenario = scripted_scenario(
-            flows={"dist": "poisson", "mean": 6})
-        whole = ScenarioRunner(
-            scenario, make_backend("awgr", 8, seed=2),
-            seeding="sequential").run(seed=2)
-        runner = ScenarioRunner(scenario,
-                                make_backend("awgr", 8, seed=2),
-                                seeding="sequential")
-        rng = as_generator(2)
-        report = None
-        for epoch in range(scenario.n_epochs):
-            report = runner.step_epochs(epoch, epoch + 1, seed=2,
-                                        report=report, rng=rng)
-        assert report.rows() == whole.rows()
-
-    def test_sequential_without_rng_rejected(self):
+    def test_reports_carry_absolute_epochs(self):
+        # Regression: a fresh backend counts only the epochs it has
+        # stepped, so a slice starting past epoch 0 was labelled
+        # from 0.
         runner = ScenarioRunner(scripted_scenario(),
-                                make_backend("awgr", 8),
-                                seeding="sequential")
-        with pytest.raises(ValueError, match="rng"):
-            runner.step_epochs(0, 1)
+                                make_backend("awgr", 8))
+        report = runner.step_epochs(2, 4)
+        assert [e.epoch for e in report.epochs] == [2, 3]
+        assert [r["epoch"] for r in report.rows()] == [2, 3]
 
     def test_range_validation(self):
         runner = ScenarioRunner(scripted_scenario(),

@@ -52,12 +52,12 @@ class TestComposition:
         assert len(late) == 8            # uniform + hotspot
 
     def test_batches_covers_every_epoch(self):
-        batches = small_scenario().batches(0)
+        batches = small_scenario().batches_range(0, 4, base_seed=0)
         assert len(batches) == 4
 
     def test_batches_accepts_int_seed_reproducibly(self):
-        a = small_scenario().batches(3)
-        b = small_scenario().batches(3)
+        a = small_scenario().batches_range(0, 4, base_seed=3)
+        b = small_scenario().batches_range(0, 4, base_seed=3)
         assert [[(f.src, f.dst, f.gbps) for f in batch]
                 for batch in a] == [
                [(f.src, f.dst, f.gbps) for f in batch]

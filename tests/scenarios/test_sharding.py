@@ -90,19 +90,16 @@ class TestShardInvariance:
         scenario.batch_at(2, base_seed=9)
         assert scenario.batch_at(4, base_seed=9) == later
 
-    def test_sequential_mode_is_order_dependent(self):
-        # The compatibility mode deliberately keeps the historical
-        # behavior: one generator threads through the epochs, so
-        # suffixes are NOT independent of the prefix.
-        scenario = small_scenario()
-        full = scenario.batches(3)
-        from repro.network.traffic import as_generator
-        alone = scenario.batch(4, as_generator(3))
-        assert alone != full[4]
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             small_scenario(4).batches_range(2, 6)
+        # Regression: execute_chunk used to simulate epochs past the
+        # horizon, or return an empty chunk for an inverted range.
+        config = small_scenario(4).to_config()
+        for start, stop in ((2, 9), (3, 1)):
+            with pytest.raises(ValueError, match="epoch range"):
+                execute_chunk(config, "awgr", {}, start, stop,
+                              base_seed=0)
 
 
 class TestChunkRanges:
@@ -148,15 +145,17 @@ class TestChunkedEquivalence:
     def test_shard_count_never_changes_aggregates(self, tmp_path):
         scenario = small_scenario()
         single = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=1).run()
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            base_seed=1).run()
         cache = ResultCache(tmp_path)
         for index in range(3):  # three "machines", one shared cache
             ShardedScenarioRunner(
-                scenario, "awgr", chunk_epochs=2, shards=3,
-                shard_index=index, base_seed=1, cache=cache).run()
+                scenario, "awgr", chunk_epochs=2, boundary="reset",
+                shards=3, shard_index=index, base_seed=1,
+                cache=cache).run()
         assembled = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, shards=3, base_seed=1,
-            cache=cache).run(resume=True)
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            shards=3, base_seed=1, cache=cache).run(resume=True)
         assert assembled.n_cached == len(assembled.chunks)
         assert (assembled.report().as_dict()
                 == single.report().as_dict())
@@ -165,10 +164,11 @@ class TestChunkedEquivalence:
     def test_pool_workers_match_inline(self):
         scenario = small_scenario()
         inline = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=1).run()
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            base_seed=1).run()
         pooled = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=1,
-            workers=2).run()
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            base_seed=1, workers=2).run()
         assert pooled.report().as_dict() == inline.report().as_dict()
 
     def test_event_totals_match_monolithic(self):
@@ -177,7 +177,8 @@ class TestChunkedEquivalence:
         # recount it.
         scenario = small_scenario()
         sharded = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=0).run()
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            base_seed=0).run()
         merged = sharded.report()
         assert merged.events_applied == 2
         assert merged.events_ignored == 0
@@ -190,8 +191,8 @@ class TestInterruptResume:
             self, tmp_path):
         scenario = small_scenario()
         cache = ResultCache(tmp_path)
-        kwargs = dict(chunk_epochs=2, shards=2, base_seed=4,
-                      cache=cache)
+        kwargs = dict(chunk_epochs=2, boundary="reset", shards=2,
+                      base_seed=4, cache=cache)
         # "Interrupt": only shard 0 ever ran before the crash.
         first = ShardedScenarioRunner(
             scenario, "awgr", shard_index=0, **kwargs).run()
@@ -205,7 +206,8 @@ class TestInterruptResume:
             scenario, "awgr", **kwargs).run(resume=True)
         assert resumed.n_cached == 2 and resumed.n_computed == 1
         fresh = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=4).run()
+            scenario, "awgr", chunk_epochs=2, boundary="reset",
+            base_seed=4).run()
         assert resumed.report().as_dict() == fresh.report().as_dict()
 
     def test_resume_false_recomputes_and_refreshes(self, tmp_path):
@@ -421,7 +423,7 @@ class TestEventsReplayed:
     def test_rows_surface_replay_cost(self):
         scenario = small_scenario()
         result = ShardedScenarioRunner(scenario, "awgr",
-                                       chunk_epochs=2,
+                                       chunk_epochs=2, boundary="reset",
                                        base_seed=0).run()
         rows = result.rows()
         # fail_plane@1 precedes chunks 1 and 2; repair_plane@4 fires
@@ -494,7 +496,7 @@ class TestErrorContext:
     def test_reset_chunk_error_names_chunk_and_scenario(self):
         result = ShardedScenarioRunner(
             small_scenario(), "wss", backend_params={"n_switches": 1},
-            chunk_epochs=2, base_seed=0).run()
+            chunk_epochs=2, boundary="reset", base_seed=0).run()
         failed = [c for c in result.chunks if c.state == "failed"]
         assert failed[0].error.startswith(
             f"chunk {failed[0].index} of scenario 'shardable': ")
