@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 
 def pearson(x, y) -> float:
@@ -56,8 +57,6 @@ def mean_ci(values, confidence: float = 0.95) -> dict[str, float]:
     interval. This is the cross-seed summary the multi-repeat sweeps
     and scenario runs report.
     """
-    from scipy import stats as sstats
-
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize empty input")
@@ -66,7 +65,7 @@ def mean_ci(values, confidence: float = 0.95) -> dict[str, float]:
     n = int(arr.size)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
-    z = float(sstats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     half = z * std / math.sqrt(n)
     return {
         "n": float(n),

@@ -17,7 +17,10 @@ bandwidth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from scipy.special import ndtr
 
 from repro.rack.design import AWGRFabricPlan, plan_awgr_fabric
 from repro.workloads.cori import CORI_PROFILES
@@ -44,18 +47,13 @@ def direct_bandwidth_sufficiency(direct_gbps: float = 125.0,
     into absolute demand; the default is the CPU's 204.8 GB/s memory
     system in Gbps.
     """
-    profile = CORI_PROFILES[resource]
-    mu_sigma = profile.lognormal_params
-    import math
-
-    from scipy import stats
-
-    mu, sigma = mu_sigma
-    # P(demand <= direct) with demand = utilization * peak.
+    mu, sigma = CORI_PROFILES[resource].lognormal_params
+    # P(demand <= direct) with demand = utilization * peak; ndtr is the
+    # standard normal CDF.
     frac = direct_gbps / peak_gbps
-    p_direct = float(stats.norm.cdf((math.log(frac) - mu) / sigma))
+    p_direct = float(ndtr((math.log(frac) - mu) / sigma))
     frac_one = wavelength_gbps / peak_gbps
-    p_one = float(stats.norm.cdf((math.log(frac_one) - mu) / sigma))
+    p_one = float(ndtr((math.log(frac_one) - mu) / sigma))
     return BandwidthSufficiency(
         traffic_class=resource,
         direct_gbps=direct_gbps,

@@ -10,8 +10,8 @@ in a Valiant fashion, per flow (to keep packets of one flow in order).
 
 When stale state misleads the source and the chosen intermediate's
 onward wavelength is actually busy, the intermediate re-routes through
-a *second* intermediate (the paper's fallback), which we model with a
-bounded recursion.
+a *second* intermediate (the paper's fallback); a flow whose fallback
+also fails is blocked.
 """
 
 from __future__ import annotations
@@ -94,15 +94,10 @@ class IndirectRouter:
     state:
         Piggybacked-view model; when ``None`` the router consults the
         allocator directly (perfect information).
-    max_fallback_depth:
-        How many times an intermediate may itself route indirectly
-        before the flow is blocked (1 reproduces the paper's
-        second-intermediate fallback).
     """
 
     allocator: WavelengthAllocator
     state: PiggybackState | None = None
-    max_fallback_depth: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,11 +117,11 @@ class IndirectRouter:
         """
         if src == dst:
             raise ValueError("source equals destination")
-        code, path, reservations, stale = self._route_core(
-            src, dst, slots, depth=0)
+        code, path = self._route_core(src, dst, slots)
         decision = RouteDecision(
             kind=_KIND_BY_CODE[code], path=path,
-            reservations=reservations, used_stale_fallback=stale)
+            reservations=self._reserve(path, slots),
+            used_stale_fallback=code == DOUBLE_INDIRECT)
         self.stats[decision.kind] += 1
         return decision
 
@@ -144,10 +139,9 @@ class IndirectRouter:
         """
         if src == dst:
             raise ValueError("source equals destination")
-        code, path, reservations, _ = self._route_core(
-            src, dst, slots, depth=0)
+        code, path = self._route_core(src, dst, slots)
         self.stats[_KIND_BY_CODE[code]] += 1
-        return code, max(0, len(path) - 1), reservations
+        return code, len(path) - 1, self._reserve(path, slots)
 
     def release(self, decision: RouteDecision) -> None:
         """Release every reservation of a carried flow."""
@@ -200,81 +194,70 @@ class IndirectRouter:
 
     # -- internals ----------------------------------------------------------------
 
-    def _route_core(self, src: int, dst: int, slots: int, depth: int
-                    ) -> tuple[int, tuple[int, ...], tuple, bool]:
-        """One flow's routing as plain data: (code, path, reservations,
-        used_stale_fallback).
+    def _route_core(self, src: int, dst: int, slots: int
+                    ) -> tuple[int, tuple[int, ...]]:
+        """One flow's (kind code, path); allocates nothing.
 
-        The candidate walk is vectorized: after the Valiant shuffle,
-        ground-truth second-hop availability is evaluated for *every*
-        candidate in one array comparison, so the chosen intermediate
-        is found with a single scan instead of per-candidate
-        ``has_capacity`` calls. Only the mispredicted prefix —
-        candidates the (stale) local view endorsed whose onward hop is
-        actually busy — is walked one by one, because each triggers
-        the paper's §IV-A fallback recursion.
+        After the Valiant shuffle, ground-truth onward availability is
+        evaluated for every candidate in one array comparison, so the
+        chosen intermediate is found with a single scan. Only the
+        mispredicted prefix — candidates the (stale) local view
+        endorsed whose onward hop is actually busy — is walked one by
+        one, each running the paper's §IV-A fallback through a second
+        intermediate. A mispredicted ``mid`` has no direct capacity
+        toward ``dst``, so its fallback starts at the Valiant step. The
+        walk writes nothing, so one onward mask of column ``dst``
+        serves both levels.
 
-        The one-shot scan is exact because nothing that happens during
-        the walk can change column ``dst`` of the occupancy before a
-        later candidate is considered: first-hop (src, mid)
-        allocations never touch it (mid != dst), and a fallback
-        recursion either succeeds (we return immediately) or releases
-        everything it allocated, leaving occupancy bit-identical to
-        the walk's start.
+        Two facts make this equal to allocating each mispredicted
+        first hop, recursing into its fallback and releasing it:
+
+        * Last level: each of the fallback's own mispredicted
+          candidates would be allocated, counted and released, which
+          leaves occupancy as it was (every candidate passed the
+          first-hop filter), so the level only counts them.
+        * Top level: the fallback from ``mid`` reads and writes only
+          row ``mid``, row ``mid2`` and column ``dst``, never the pair
+          (src, mid): ``mid != dst``, and ``mid2 != src`` because
+          (src, dst) had no direct capacity. So the first hop can be
+          allocated after the fallback succeeds, and a blocked
+          fallback makes no allocator call at all.
+
+        ``tests/oracles/routing.py`` keeps that walk as the
+        bit-identity oracle.
         """
         # 1. Direct wavelength.
         if self.allocator.has_capacity(src, dst, slots):
-            planes = self.allocator.allocate(src, dst, slots)
-            return (DIRECT if depth == 0 else DOUBLE_INDIRECT,
-                    (src, dst), ((src, dst, tuple(planes)),), depth > 0)
+            return DIRECT, (src, dst)
 
         # 2. Valiant intermediate per the (possibly stale) local view.
+        onward = self.allocator.free_slots_to(dst) >= slots
+        candidates, hit = self._shuffled_candidates(src, dst, slots, onward)
+        for mid in candidates[:hit].tolist():
+            # Stale information: the onward hop is actually busy. The
+            # intermediate performs its own indirect routing (§IV-A).
+            self.stale_mispredictions += 1
+            seconds, hit2 = self._shuffled_candidates(
+                mid, dst, slots, onward)
+            self.stale_mispredictions += hit2
+            if hit2 < len(seconds):
+                return DOUBLE_INDIRECT, (src, mid, int(seconds[hit2]), dst)
+        if hit < len(candidates):
+            return INDIRECT, (src, int(candidates[hit]), dst)
+        return BLOCKED, (src,)
+
+    def _reserve(self, path: tuple[int, ...], slots: int) -> tuple:
+        """Allocate every hop of ``path`` in order; the (a, b, planes)
+        reservations to release later."""
+        return tuple((a, b, tuple(self.allocator.allocate(a, b, slots)))
+                     for a, b in zip(path, path[1:]))
+
+    def _shuffled_candidates(self, src: int, dst: int, slots: int,
+                             onward: np.ndarray) -> tuple[np.ndarray, int]:
+        """``src``'s candidates in Valiant (shuffled) order, and the
+        index of the first whose onward hop is truly free
+        (``len(candidates)`` when none is)."""
         candidates = self.candidate_intermediates(src, dst, slots)
         self._rng.shuffle(candidates)
-        if len(candidates):
-            onward_free = (self.allocator.free_slots_to(dst)[candidates]
-                           >= slots)
-            free = np.flatnonzero(onward_free)
-            mispredicted = int(free[0]) if free.size else len(candidates)
-            for i in range(mispredicted):
-                mid = int(candidates[i])
-                if not self.allocator.has_capacity(src, mid, slots):
-                    # Stale view lied about our own first hop (cannot
-                    # really happen with per-source truth, but kept
-                    # for safety).
-                    continue
-                first = self.allocator.allocate(src, mid, slots)
-                # Stale information: the onward hop is actually busy.
-                # The intermediate performs its own indirect routing
-                # (§IV-A).
-                self.stale_mispredictions += 1
-                if depth < self.max_fallback_depth:
-                    code, path, reservations, _ = self._route_core(
-                        mid, dst, slots, depth + 1)
-                    if code != BLOCKED:
-                        return (DOUBLE_INDIRECT, (src,) + path,
-                                ((src, mid, tuple(first)),)
-                                + reservations, True)
-                self.allocator.release(src, mid, first)
-            if mispredicted < len(candidates):
-                mid = int(candidates[mispredicted])
-                first = self.allocator.allocate(src, mid, slots)
-                second = self.allocator.allocate(mid, dst, slots)
-                return (INDIRECT if depth == 0 else DOUBLE_INDIRECT,
-                        (src, mid, dst),
-                        ((src, mid, tuple(first)),
-                         (mid, dst, tuple(second))), depth > 0)
-
-        return (BLOCKED, (src,), (), False)
-
-    def _believed_free(self, viewer: int, a: int, b: int, slots: int) -> bool:
-        """Does ``viewer`` believe (a -> b) has capacity?
-
-        A source always knows its *own* occupancy exactly; other
-        sources' occupancy comes from the piggybacked board.
-        """
-        if a == b:
-            return False
-        if self.state is None or a == viewer:
-            return self.allocator.has_capacity(a, b, slots)
-        return self.state.board_of(viewer).believed_free(a, b, slots)
+        free = np.flatnonzero(onward[candidates])
+        return candidates, int(free[0]) if free.size else len(candidates)

@@ -6,14 +6,20 @@ number of direct wavelengths between MCM pairs; the WSS plan becomes a
 bipartite MCM-switch graph. Connectivity invariants proved in §V-B
 (every pair >= 5 wavelengths / >= 3 switch paths) become simple graph
 assertions, which the Fig. 5 bench and the property tests exercise.
+networkx is imported only when a graph is built, so the rest of the
+package neither needs it nor pays for its import.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.rack.design import AWGRFabricPlan, WSSFabricPlan
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def awgr_connectivity_graph(plan: AWGRFabricPlan,
@@ -29,6 +35,8 @@ def awgr_connectivity_graph(plan: AWGRFabricPlan,
         full 350-node complete graph has ~61k edges; fine, but samples
         keep interactive use fast).
     """
+    import networkx as nx
+
     n = plan.n_mcms if sample is None else min(sample, plan.n_mcms)
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
@@ -46,6 +54,8 @@ def wss_connectivity_graph(plan: WSSFabricPlan) -> nx.Graph:
 
     MCM nodes are integers; switch nodes are strings ``"sw<i>"``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(plan.n_mcms), bipartite="mcm")
     graph.add_nodes_from((f"sw{s}" for s in range(plan.n_switches)),

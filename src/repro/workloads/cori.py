@@ -20,11 +20,12 @@ provisioning effective.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,13 @@ class UtilizationProfile:
         if not (0 < self.v1 < self.v2 <= 1):
             raise ValueError(f"{self.resource}: need 0 < v1 < v2 <= 1")
 
-    @property
+    @functools.cached_property
     def lognormal_params(self) -> tuple[float, float]:
-        """(mu, sigma) of the underlying normal in log-utilization."""
-        z1 = stats.norm.ppf(self.q1)
-        z2 = stats.norm.ppf(self.q2)
+        """(mu, sigma) of the underlying normal in log-utilization,
+        computed once per profile (``ndtri`` is the standard normal
+        quantile)."""
+        z1 = ndtri(self.q1)
+        z2 = ndtri(self.q2)
         sigma = (math.log(self.v2) - math.log(self.v1)) / (z2 - z1)
         mu = math.log(self.v1) - z1 * sigma
         return mu, sigma
@@ -74,7 +77,7 @@ class UtilizationProfile:
     def quantile(self, q: float) -> float:
         """Closed-form quantile of the (unclipped) fit."""
         mu, sigma = self.lognormal_params
-        return float(min(1.0, math.exp(mu + sigma * stats.norm.ppf(q))))
+        return float(min(1.0, math.exp(mu + sigma * ndtri(q))))
 
 
 #: Profiles fit to the §II-A quantiles. The second quantile encodes the

@@ -1,7 +1,10 @@
 """Statistics helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.analysis.stats import mean_ci, pearson, quantiles, summarize
 
@@ -66,6 +69,12 @@ class TestMeanCI:
                                                  rel=1e-5)
         assert ci["ci_low"] == pytest.approx(2.5 - ci["half_width"])
         assert ci["ci_high"] == pytest.approx(2.5 + ci["half_width"])
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_z_equals_norm_ppf(self, confidence):
+        ci = mean_ci([1.0, 2.0, 4.0], confidence=confidence)
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        assert ci["half_width"] == z * ci["std"] / math.sqrt(3)
 
     def test_single_observation_zero_width(self):
         ci = mean_ci([3.0])

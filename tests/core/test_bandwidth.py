@@ -1,12 +1,16 @@
 """Bandwidth satisfaction analysis (paper §VI-A)."""
 
+import math
+
 import pytest
+from scipy import stats
 
 from repro.core.bandwidth import (
     awgr_bandwidth_analysis,
     direct_bandwidth_sufficiency,
     gpu_bandwidth_budget,
 )
+from repro.workloads.cori import CORI_PROFILES
 
 
 class TestDirectSufficiency:
@@ -29,6 +33,17 @@ class TestDirectSufficiency:
                                             peak_gbps=200.0,
                                             resource="nic_bandwidth")
         assert suff.p_sufficient > 0.99
+
+    @pytest.mark.parametrize("resource", sorted(CORI_PROFILES))
+    def test_probabilities_equal_norm_cdf(self, resource):
+        # ``scipy.special.ndtr`` stands in for ``scipy.stats.norm.cdf``
+        # bit for bit.
+        mu, sigma = CORI_PROFILES[resource].lognormal_params
+        suff = direct_bandwidth_sufficiency(resource=resource)
+        for got, gbps in ((suff.p_sufficient, 125.0),
+                          (suff.p_single_wavelength, 25.0)):
+            z = (math.log(gbps / 1638.4) - mu) / sigma
+            assert got == min(1.0, float(stats.norm.cdf(z)))
 
     def test_more_bandwidth_higher_probability(self):
         lo = direct_bandwidth_sufficiency(direct_gbps=25.0,

@@ -1,10 +1,16 @@
 """Indirect (Valiant) routing (paper §IV)."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.routing import IndirectRouter, RouteKind
 from repro.network.state import PiggybackState
 from repro.network.wavelength import WavelengthAllocator
+from tests.oracles import routing as oracle
 
 
 def make_router(n_nodes=6, planes=2, flows_per_wavelength=1,
@@ -118,6 +124,50 @@ class TestStaleFallback:
         assert router.stats[RouteKind.DIRECT] == 2
 
 
+class TestFallbackAllocatorCalls:
+    """The stale walk allocates only the hops of the path it returns:
+    a mispredicted candidate costs no allocate/release pair."""
+
+    def stale_column(self, monkeypatch, free_src=None, seed=0):
+        """n=8, one plane, one flow per wavelength, boards frozen at the
+        empty fabric, every (x, 7) pair busy except ``free_src``'s."""
+        router, alloc, _ = make_router(n_nodes=8, planes=1,
+                                       update_period=1000, seed=seed)
+        for src in range(7):
+            if src != free_src:
+                alloc.allocate(src, 7)
+        calls = Counter()
+        for name in ("allocate", "release"):
+            def counted(*args, _method=getattr(alloc, name), _name=name):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(alloc, name, counted)
+        return router, alloc, calls
+
+    def test_blocked_fallback_makes_no_allocator_call(self, monkeypatch):
+        router, _, calls = self.stale_column(monkeypatch)
+        decision = router.route_flow(0, 7)
+        assert decision.kind is RouteKind.BLOCKED
+        # Six stale intermediates, each of whose fallbacks walks six
+        # stale second intermediates.
+        assert router.stale_mispredictions == 6 + 6 * 6
+        assert calls == Counter()
+
+    def test_successful_fallback_allocates_each_hop_once(self, monkeypatch):
+        router, alloc, calls = self.stale_column(monkeypatch, free_src=5,
+                                                 seed=4)
+        # 0 cannot reach 5 itself, so only a fallback can use (5, 7).
+        alloc.allocate(0, 5)
+        calls.clear()
+        decision = router.route_flow(0, 7)
+        assert decision.kind is RouteKind.DOUBLE_INDIRECT
+        assert decision.path[0] == 0 and decision.path[2:] == (5, 7)
+        # One stale intermediate, whose fallback passes five stale
+        # second intermediates before it reaches 5.
+        assert router.stale_mispredictions == 6
+        assert calls == Counter(allocate=len(decision.reservations))
+
+
 class TestConservation:
     def test_no_leaked_reservations_after_release(self):
         router, alloc, _ = make_router(n_nodes=6, planes=2)
@@ -183,3 +233,109 @@ class TestRouteTokensTwin:
         assert self.KIND_CODE[decision.kind] == tokens[0]
         assert decision.reservations == tokens[2]
         assert r_a.snapshot() == r_b.snapshot()
+
+
+@st.composite
+def fabrics(draw) -> dict:
+    """Router construction: size, failed planes, a random pre-fill, a
+    (mostly) saturated destination column and stale boards."""
+    n = draw(st.integers(3, 20))
+    planes = draw(st.integers(1, 5))
+    return {
+        "n": n,
+        "planes": planes,
+        "fpw": draw(st.integers(1, 8)),
+        "failed": draw(st.sets(st.integers(0, planes - 1),
+                               max_size=planes - 1)),
+        # None routes on perfect information (no boards).
+        "period": draw(st.one_of(st.none(), st.integers(1, 10**6))),
+        "jitter": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "fill": draw(st.floats(0.0, 1.0)),
+        "hot": draw(st.integers(0, n - 1)),
+        "saturate": draw(st.floats(0.5, 1.0)),
+        # Broadcast the pre-fill before the hot column fills, or leave
+        # the boards at the empty fabric they were built with.
+        "broadcast": draw(st.booleans()),
+    }
+
+
+def build_fabric(fabric: dict):
+    """(router, allocator, state) for one :func:`fabrics` draw."""
+    n = fabric["n"]
+    alloc = WavelengthAllocator(n_nodes=n, planes=fabric["planes"],
+                                flows_per_wavelength=fabric["fpw"])
+    for plane in sorted(fabric["failed"]):
+        alloc.fail_plane(plane)
+    state = None
+    if fabric["period"] is not None:
+        state = PiggybackState(alloc, update_period=fabric["period"],
+                               jitter=fabric["jitter"],
+                               rng_seed=fabric["seed"])
+    rng = np.random.default_rng(fabric["seed"])
+    filled = np.nonzero(rng.random((n, n)) < fabric["fill"])
+    for src, dst in zip(*(axis.tolist() for axis in filled)):
+        free = alloc.free_slots(src, dst)
+        if src != dst and free > 0:
+            alloc.allocate(src, dst, int(rng.integers(1, free + 1)))
+    if state is not None and fabric["broadcast"]:
+        state.broadcast_all()
+    hot = fabric["hot"]
+    for src in np.flatnonzero(rng.random(n) < fabric["saturate"]).tolist():
+        free = alloc.free_slots(src, hot)
+        if src != hot and free > 0:
+            alloc.allocate(src, hot, free)
+    router = IndirectRouter(alloc, state=state, rng_seed=fabric["seed"])
+    return router, alloc, state
+
+
+def route_calls(n: int):
+    """One call: (src, dst offset, slots, via route_flow, state steps,
+    release an earlier flow)."""
+    return st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                     st.integers(1, 4), st.booleans(), st.integers(0, 3),
+                     st.booleans())
+
+
+class TestStaleWalkOracleTwin:
+    """The router picks a flow's whole path before it allocates a hop;
+    ``tests.oracles.routing`` keeps the walk that allocated each
+    mispredicted candidate's first hop, recursed into the fallback and
+    released it. Two routers built alike route the same flows, one
+    through production and one through the oracle: outcomes, RNG
+    state, stats, stale mispredictions and occupancy must match after
+    every call."""
+
+    @given(data=st.data(), fabric=fabrics())
+    @settings(max_examples=200, deadline=None)
+    def test_router_matches_oracle_call_by_call(self, data, fabric):
+        router, alloc, state = build_fabric(fabric)
+        twin, twin_alloc, twin_state = build_fabric(fabric)
+        n, hot = fabric["n"], fabric["hot"]
+        kind_code = TestRouteTokensTwin.KIND_CODE
+        carried = []
+        plan = data.draw(st.lists(route_calls(n), min_size=1, max_size=40))
+        for src, offset, slots, as_flow, steps, release in plan:
+            # Flows with an odd offset head for the saturated column.
+            dst = hot if offset % 2 and src != hot else (src + offset) % n
+            expected = oracle.route(twin, src, dst, slots)
+            if as_flow:
+                decision = router.route_flow(src, dst, slots)
+                assert (kind_code[decision.kind], decision.path,
+                        decision.reservations,
+                        decision.used_stale_fallback) == expected
+            else:
+                code, hops, reservations = router.route_tokens(
+                    src, dst, slots)
+                assert (code, hops, reservations) == (
+                    expected[0], len(expected[1]) - 1, expected[2])
+            assert router.snapshot() == twin.snapshot()
+            assert alloc.snapshot() == twin_alloc.snapshot()
+            carried.append(expected[2])
+            if release and len(carried) > 1:
+                for (a, b, planes) in carried.pop(0):
+                    alloc.release(a, b, list(planes))
+                    twin_alloc.release(a, b, list(planes))
+            for _ in range(steps if state is not None else 0):
+                state.step()
+                twin_state.step()

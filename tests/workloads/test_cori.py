@@ -1,7 +1,10 @@
 """Cori-like utilization profiles (paper §II-A)."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.workloads.cori import (
     CORI_PROFILES,
@@ -45,6 +48,26 @@ class TestProfileFit:
             UtilizationProfile("bad", 0.9, 0.5, 0.5, 0.9)  # q1 > q2
         with pytest.raises(ValueError):
             UtilizationProfile("bad", 0.5, 0.9, 0.9, 0.5)  # v1 > v2
+
+
+class TestNormalQuantileParity:
+    """``scipy.special.ndtri`` stands in for ``scipy.stats.norm.ppf``
+    bit for bit, so seeded Cori streams are unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(CORI_PROFILES))
+    def test_fit_and_quantiles_equal_norm_ppf(self, name):
+        profile = CORI_PROFILES[name]
+        z1, z2 = stats.norm.ppf(profile.q1), stats.norm.ppf(profile.q2)
+        sigma = (math.log(profile.v2) - math.log(profile.v1)) / (z2 - z1)
+        mu = math.log(profile.v1) - z1 * sigma
+        assert profile.lognormal_params == (mu, sigma)
+        for q in (0.5, 0.75, 0.95, 0.99, 0.995, 0.001, 0.3):
+            expected = min(1.0, math.exp(mu + sigma * stats.norm.ppf(q)))
+            assert profile.quantile(q) == expected
+
+    def test_fit_is_computed_once(self):
+        profile = UtilizationProfile("x", 0.5, 0.1, 0.9, 0.4)
+        assert profile.lognormal_params is profile.lognormal_params
 
 
 class TestSampling:
