@@ -13,7 +13,9 @@ Two recorded baselines in one file:
   loops) vs batch path (``FlowBatch`` end to end), with a
   generation/step stage breakdown.
 
-Each comparison runs both paths on identical seeded traffic and
+The per-flow side of each comparison is the scalar oracle the twin
+tests use (``tests/oracles/``); production runs only the vectorized
+side. Each comparison runs both paths on identical seeded traffic and
 requires bit-identical reports — the speedups are only meaningful
 because the semantics are unchanged.
 
@@ -35,6 +37,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+#: The per-flow oracles live in the repo's ``tests`` package; make the
+#: repo root importable when this file runs as a script.
+REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
 
 #: Rack scales measured: two sub-rack fabrics plus the paper's full
 #: 350-MCM rack (§VI-A).
@@ -80,13 +88,16 @@ def _time_path(n_nodes: int, batches, batched: bool,
                repeats: int) -> tuple[float, dict]:
     """Best-of-``repeats`` wall time for one admission path."""
     from repro.network.simulator import AWGRNetworkSimulator
+    from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
+    simulator = (AWGRNetworkSimulator if batched
+                 else ScalarAWGRNetworkSimulator)
     best = float("inf")
     report = None
     for _ in range(repeats):
-        sim = AWGRNetworkSimulator(
+        sim = simulator(
             n_nodes=n_nodes, planes=5, flows_per_wavelength=8,
-            track_state=False, rng_seed=1, batch_admission=batched)
+            track_state=False, rng_seed=1)
         t0 = time.perf_counter()
         result = sim.run([list(b) for b in batches], duration_slots=2)
         best = min(best, time.perf_counter() - t0)
@@ -136,10 +147,6 @@ def _epoch_scenario(n_nodes: int, n_epochs: int):
                           gbps=3.0),))
 
 
-#: Per-backend name of the scalar-vs-batched switch.
-_BATCH_FLAG = {"awgr": "batch_admission", "wss": "batch_step",
-               "electronic": "batch_step"}
-
 #: Backend overrides for the epoch-loop suite. AWGR mirrors the
 #: admission suite's §VI-A feasibility configuration (8 flows per
 #: wavelength → admission is mostly direct, the production regime;
@@ -160,21 +167,21 @@ def _time_epoch_loop(backend_name: str, n_nodes: int, n_epochs: int,
 
     Returns (total_s, generation_s, step_s, epoch report dicts) from
     the best run. The object path generates ``list[Flow]`` and steps
-    the per-flow reference loop; the batch path generates a
-    ``FlowBatch`` and steps the vectorized loop — generation →
-    admission → expiry → report, exactly what ``ScenarioRunner``
-    executes per epoch.
+    the per-flow oracle; the batch path generates a ``FlowBatch`` and
+    steps the registered backend — generation → admission → expiry →
+    report, exactly what ``ScenarioRunner`` executes per epoch.
     """
     from repro.scenarios.backends import make_backend
+    from tests.oracles.backends import scalar_twin
 
     scenario = _epoch_scenario(n_nodes, n_epochs)
     best = (float("inf"), 0.0, 0.0)
     reports = None
     for _ in range(repeats):
-        backend = make_backend(
-            backend_name, n_nodes, seed=1,
-            **{_BATCH_FLAG[backend_name]: batched},
-            **_EPOCH_PARAMS[backend_name])
+        backend = make_backend(backend_name, n_nodes, seed=1,
+                               **_EPOCH_PARAMS[backend_name])
+        if not batched:
+            backend = scalar_twin(backend)
         gen_s = step_s = 0.0
         stream = []
         t0 = time.perf_counter()

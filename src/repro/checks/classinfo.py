@@ -116,7 +116,9 @@ def _method_attr_writes(func: ast.FunctionDef) -> list[AttrWrite]:
     return writes
 
 
-def _is_protocol(node: ast.ClassDef) -> bool:
+def is_protocol_class(node: ast.ClassDef) -> bool:
+    """True for ``Protocol`` subclasses and ``@runtime_checkable``
+    classes (protocol definitions, exempt from conformance rules)."""
     for base in node.bases:
         name = base.attr if isinstance(base, ast.Attribute) else (
             base.id if isinstance(base, ast.Name) else "")
@@ -137,7 +139,7 @@ def collect_classes(tree: ast.Module) -> list[ClassInfo]:
         if not isinstance(node, ast.ClassDef):
             continue
         info = ClassInfo(node=node, name=node.name,
-                         is_protocol=_is_protocol(node))
+                         is_protocol=is_protocol_class(node))
         for stmt in node.body:
             if isinstance(stmt, _FUNC_DEFS):
                 info.methods.setdefault(stmt.name, stmt)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.checks.classinfo import INIT_METHODS, dotted_name, self_name
+from repro.checks.classinfo import (INIT_METHODS, dotted_name,
+                                    is_protocol_class, self_name)
 
 #: Constructor names whose result is a lock-like object, mapped to the
 #: lock kind the rules care about. Covers both the raw ``threading``
@@ -51,10 +52,10 @@ MUTATOR_METHODS = frozenset({
 _WAIT_NAMES = ("wait", "wait_for")
 _NOTIFY_NAMES = ("notify", "notify_all")
 
-#: Longest string constant indexed into a test module's name surface.
-#: Twin tests toggle twins via flag kwargs (``**{"batch_step": False}``),
-#: so short string literals count as references; long strings (doc
-#: text) do not.
+#: Longest string constant indexed into a module's name surface.
+#: Tests may name a method or class in a string (``getattr(obj,
+#: "step")``, a parametrize id), so short identifier-like literals
+#: count as references; long strings (doc text) do not.
 _NAME_STRING_MAX = 40
 
 
@@ -140,6 +141,8 @@ class ClassSummary:
     #: vars) — part of the attr-name ambiguity surface for SIM005's
     #: cross-object checks.
     declared: set = field(default_factory=set)
+    #: a ``Protocol`` definition (SIM006 exempts them).
+    is_protocol: bool = False
 
 
 @dataclass
@@ -317,7 +320,8 @@ def _summarize_class(
         node: ast.ClassDef) -> tuple[ClassSummary, list[str]]:
     """(class summary, thread targets pointing outside the class)."""
     cls = ClassSummary(name=node.name, line=node.lineno,
-                       col=node.col_offset)
+                       col=node.col_offset,
+                       is_protocol=is_protocol_class(node))
     extra: list[str] = []
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(

@@ -11,10 +11,10 @@ These registered sweeps are deterministic *replays*: their RNG inputs
 are pinned in the config (``rng_seed`` etc.), so the engine-derived
 ``seed`` argument — and therefore ``ExperimentSpec.base_seed`` — does
 not change their results, only their cache identity. The AWGR
-simulations ride the vectorized batch-admission hot path
-(``AWGRNetworkSimulator.run`` defaults to ``batch_admission=True``),
-which is bit-identical to the historical per-flow loop, so previously
-cached metrics replay unchanged. For resampling
+simulations ride the vectorized batch admission of
+``AWGRNetworkSimulator.run``, which is bit-identical to the
+historical per-flow loop, so previously cached metrics replay
+unchanged. For resampling
 studies, write a factory that consumes ``seed`` (see
 ``examples/sweep_demo.py``) instead of pinning seeds in config.
 """

@@ -10,7 +10,6 @@ from repro.network.wavelength import WavelengthAllocator
 from repro.network.state import OccupancyBoard, PiggybackState
 from repro.network.routing import (
     IndirectRouter,
-    RouteDecision,
     RouteKind,
 )
 from repro.network.traffic import (
@@ -52,7 +51,7 @@ from repro.network.wss_simulator import (
 
 __all__ = [
     "WavelengthAllocator", "OccupancyBoard", "PiggybackState",
-    "IndirectRouter", "RouteDecision", "RouteKind",
+    "IndirectRouter", "RouteKind",
     "Flow", "FlowBatch",
     "uniform_traffic", "uniform_batch",
     "hotspot_traffic", "hotspot_batch",

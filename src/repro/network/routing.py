@@ -42,47 +42,6 @@ _KIND_BY_CODE = (RouteKind.DIRECT, RouteKind.INDIRECT,
                  RouteKind.DOUBLE_INDIRECT, RouteKind.BLOCKED)
 
 
-@dataclass(frozen=True)
-class RouteDecision:
-    """Outcome of routing one flow.
-
-    ``path`` lists the node sequence (src, [mid...,] dst) when carried;
-    ``reservations`` records (src, dst, planes) tuples to release later.
-    """
-
-    kind: RouteKind
-    path: tuple[int, ...]
-    reservations: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
-    used_stale_fallback: bool = False
-
-    @property
-    def hops(self) -> int:
-        """Photonic hops taken (0 when blocked)."""
-        return max(0, len(self.path) - 1)
-
-    def to_dict(self) -> dict:
-        """JSON-stable form (simulator snapshots of in-flight flows)."""
-        return {
-            "kind": self.kind.value,
-            "path": list(self.path),
-            "reservations": [[a, b, list(planes)]
-                             for (a, b, planes) in self.reservations],
-            "used_stale_fallback": self.used_stale_fallback,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RouteDecision":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dicts)."""
-        return cls(
-            kind=RouteKind(payload["kind"]),
-            path=tuple(int(n) for n in payload["path"]),
-            reservations=tuple(
-                (int(a), int(b), tuple(int(p) for p in planes))
-                for (a, b, planes) in payload["reservations"]),
-            used_stale_fallback=bool(
-                payload.get("used_stale_fallback", False)))
-
-
 @dataclass
 class IndirectRouter:
     """Per-source routing logic over a shared allocator.
@@ -107,46 +66,27 @@ class IndirectRouter:
 
     # -- public API --------------------------------------------------------------
 
-    def route_flow(self, src: int, dst: int, slots: int = 1) -> RouteDecision:
+    def route_tokens(self, src: int, dst: int, slots: int = 1
+                     ) -> tuple[int, int, tuple]:
         """Route one flow of ``slots`` sub-slots from ``src`` to ``dst``.
 
         Tries the direct wavelength first (§IV-A: "sources consider
         indirect paths only if the direct bandwidth ... does not
         suffice"), then a Valiant-chosen intermediate, then the
-        intermediate's own fallback.
-        """
-        if src == dst:
-            raise ValueError("source equals destination")
-        code, path = self._route_core(src, dst, slots)
-        decision = RouteDecision(
-            kind=_KIND_BY_CODE[code], path=path,
-            reservations=self._reserve(path, slots),
-            used_stale_fallback=code == DOUBLE_INDIRECT)
-        self.stats[decision.kind] += 1
-        return decision
-
-    def route_tokens(self, src: int, dst: int, slots: int = 1
-                     ) -> tuple[int, int, tuple]:
-        """Route one flow without materializing a :class:`RouteDecision`.
-
-        The object-free twin of :meth:`route_flow` for the batched
-        admission path: identical allocator mutations, RNG consumption,
-        and stats bookkeeping, but the outcome comes back as plain
-        ``(kind_code, hops, reservations)`` — kind codes are the
+        intermediate's own fallback. Allocates the chosen path's hops
+        and counts the outcome in ``stats``. The outcome comes back as
+        plain ``(kind_code, hops, reservations)``: kind codes are the
         module-level :data:`DIRECT` ... :data:`BLOCKED` ints and
-        ``reservations`` the usual (a, b, planes) tuples, ready to be
-        scattered into sub-slot token arrays.
+        ``reservations`` the (a, b, planes) tuples, ready to be
+        scattered into sub-slot token arrays. The per-flow twin that
+        returned a decision object is ``ScalarIndirectRouter`` in
+        ``tests/oracles/routing.py``.
         """
         if src == dst:
             raise ValueError("source equals destination")
         code, path = self._route_core(src, dst, slots)
         self.stats[_KIND_BY_CODE[code]] += 1
         return code, len(path) - 1, self._reserve(path, slots)
-
-    def release(self, decision: RouteDecision) -> None:
-        """Release every reservation of a carried flow."""
-        for (a, b, planes) in decision.reservations:
-            self.allocator.release(a, b, list(planes))
 
     def snapshot(self) -> dict:
         """JSON-stable capture of the router's mutable state.

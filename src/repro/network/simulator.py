@@ -12,24 +12,20 @@ paper's §VI-A argument is about whether wavelength capacity exists for
 each demand, which flow-level admission captures, while packet effects
 are subsumed in the fixed 35 ns latency adder evaluated separately.
 
-Two admission paths share one set of semantics:
-
-* the **scalar** path (:meth:`AWGRNetworkSimulator.offer`) admits one
-  flow at a time — the reference implementation;
-* the **batched** path (:meth:`AWGRNetworkSimulator.offer_batch`)
-  vectorizes a whole slot's arrivals: it bulk-admits the maximal
-  prefix of direct-capable flows with one grouped capacity scan and
-  one scatter allocation, routes the first non-direct flow through
-  the router's object-free ``route_tokens`` fallback (itself a
-  vectorized candidate scan), then rescans. Because direct admissions
-  touch only their own (src, dst) wavelengths, the prefix scan is an
-  exact replay of sequential admission, so both paths produce
-  bit-identical :class:`SimulationReport` aggregates (and identical
-  occupancy, RNG consumption, and piggyback state) for seeded runs.
-  The batched path consumes :class:`~repro.network.traffic.FlowBatch`
-  arrays directly and stores every admitted flow as sub-slot tokens,
-  so a whole epoch runs without materializing a single ``Flow`` or
-  ``RouteDecision`` object.
+Admission is vectorized per slot
+(:meth:`AWGRNetworkSimulator.offer_batch`): it bulk-admits the maximal
+prefix of direct-capable flows with one grouped capacity scan and one
+scatter allocation, routes the first non-direct flow through the
+router's ``route_tokens`` fallback (itself a vectorized candidate
+scan), then rescans. Because direct admissions touch only their own
+(src, dst) wavelengths, the prefix scan is an exact replay of
+admitting the flows one at a time: the same :class:`SimulationReport`
+aggregates, occupancy, RNG consumption and piggyback state, bit for
+bit. ``tests/oracles/simulator.py`` keeps that one-flow-at-a-time loop
+as the twin tests' oracle. Admission consumes
+:class:`~repro.network.traffic.FlowBatch` arrays and stores every
+admitted flow as sub-slot tokens, so a whole epoch runs without
+materializing a per-flow Python object.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from repro.network.routing import (
     DOUBLE_INDIRECT,
     INDIRECT,
     IndirectRouter,
-    RouteDecision,
     RouteKind,
 )
 from repro.network.state import PiggybackState
@@ -57,9 +52,9 @@ def sequential_sum(start: float, values: np.ndarray) -> float:
 
     ``np.add.accumulate`` must produce every prefix, so it folds left
     to right like a ``+=`` loop — unlike ``np.sum``, whose pairwise
-    summation rounds differently. The batched report builders use this
-    so their float aggregates stay *bit-identical* to the scalar
-    per-flow accumulation.
+    summation rounds differently. The report builders use this so
+    their float aggregates stay *bit-identical* to a per-flow ``+=``
+    accumulation.
     """
     if len(values) == 0:
         return start
@@ -154,8 +149,8 @@ class _DirectBatch:
     One row per reserved sub-slot: the (src, dst) wavelength pair, the
     plane carrying it, and the local flow index that owns it — enough
     to release everything with one scatter subtract at expiry and to
-    drop whole flows when a plane fails, without materializing a
-    Python ``RouteDecision`` per flow.
+    drop whole flows when a plane fails, without a Python object per
+    flow.
     """
 
     src: np.ndarray
@@ -206,36 +201,6 @@ class _DirectBatch:
 
 
 @dataclass
-class _ExpiryBucket:
-    """Everything retiring at one future slot."""
-
-    entries: list[tuple[Flow, RouteDecision]] = field(default_factory=list)
-    batches: list[_DirectBatch] = field(default_factory=list)
-
-    def release(self, router: IndirectRouter,
-                allocator: WavelengthAllocator) -> None:
-        for (_, decision) in self.entries:
-            router.release(decision)
-        for batch in self.batches:
-            batch.release(allocator)
-
-    def to_dict(self) -> dict:
-        """JSON-stable form (simulator snapshots)."""
-        return {"entries": [[flow.to_dict(), decision.to_dict()]
-                            for (flow, decision) in self.entries],
-                "batches": [batch.to_dict() for batch in self.batches]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "_ExpiryBucket":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dicts)."""
-        return cls(
-            entries=[(Flow.from_dict(flow), RouteDecision.from_dict(d))
-                     for (flow, d) in payload["entries"]],
-            batches=[_DirectBatch.from_dict(b)
-                     for b in payload["batches"]])
-
-
-@dataclass
 class AWGRNetworkSimulator:
     """Slot-based admission simulator over parallel AWGR planes.
 
@@ -256,12 +221,6 @@ class AWGRNetworkSimulator:
         perfect information. The boards cost O(N^2) memory *per node*,
         so rack-scale (350-MCM) feasibility checks should disable them;
         staleness studies on smaller fabrics keep them on.
-    batch_admission:
-        When true (the default), :meth:`run` admits each slot's flows
-        through the vectorized :meth:`offer_batch` hot path. The
-        scalar per-flow path is semantically identical (see the module
-        docstring); keep this switch for equivalence tests and
-        benchmarking the two paths against each other.
     """
 
     n_nodes: int
@@ -271,7 +230,6 @@ class AWGRNetworkSimulator:
     state_update_period: int = 1
     rng_seed: int = 0
     track_state: bool = True
-    batch_admission: bool = True
 
     def __post_init__(self) -> None:
         self.allocator = WavelengthAllocator(
@@ -287,7 +245,7 @@ class AWGRNetworkSimulator:
             self.allocator, state=self.state, rng_seed=self.rng_seed)
         # Active flows keyed by expiry slot: step() pops exactly one
         # bucket instead of rebuilding an O(active) list every slot.
-        self._buckets: dict[int, _ExpiryBucket] = {}
+        self._buckets: dict[int, list[_DirectBatch]] = {}
         self._now = 0
 
     @property
@@ -295,52 +253,38 @@ class AWGRNetworkSimulator:
         """Bandwidth of one sub-slot."""
         return self.gbps_per_wavelength / self.flows_per_wavelength
 
-    def _bucket_at(self, duration_slots: int) -> _ExpiryBucket:
+    def _bucket_at(self, duration_slots: int) -> list[_DirectBatch]:
         # Durations below one slot still survive until the next step,
         # matching the historical ``expiry <= now`` retirement check.
         expiry = self._now + max(1, duration_slots)
         bucket = self._buckets.get(expiry)
         if bucket is None:
-            bucket = self._buckets[expiry] = _ExpiryBucket()
+            bucket = self._buckets[expiry] = []
         return bucket
 
-    # -- single-shot admission -----------------------------------------------------
+    # -- admission -----------------------------------------------------------------
 
-    def offer(self, flow: Flow, duration_slots: int = 1) -> RouteDecision:
-        """Admit one flow now; it retires after ``duration_slots``."""
-        slots = flow.slots(self.slot_gbps)
-        decision = self.router.route_flow(flow.src, flow.dst, slots)
-        if decision.kind is not RouteKind.BLOCKED:
-            self._bucket_at(duration_slots).entries.append((flow, decision))
-        return decision
-
-    # -- batched admission ---------------------------------------------------------
-
-    def offer_batch(self, flows: FlowBatch | list[Flow],
+    def offer_batch(self, batch: FlowBatch,
                     duration_slots: int = 1) -> BatchDecisions:
-        """Admit one slot's flows through the vectorized hot path.
+        """Admit one slot's flows; they retire after ``duration_slots``.
 
-        Accepts a :class:`FlowBatch` natively (the object-free form
-        the generators emit); ``list[Flow]`` inputs are converted at
-        the boundary. Sequential admission is replayed exactly: flows
+        Admitting the flows one at a time is replayed exactly: flows
         are scanned in order, the maximal prefix that fits its direct
         wavelengths (per-pair grouped cumulative demand against the
         free-slot counts) is bulk-admitted with one scatter
         allocation, the first non-direct flow is routed through the
-        :meth:`IndirectRouter.route_tokens` fallback (same allocator
-        mutations and RNG consumption as the scalar router, one
-        vectorized candidate scan per overflow flow), and the scan
-        resumes after it. Direct admissions only consume their own
-        pair's capacity, so the prefix check is exact; indirect
-        reservations can touch any pair, which is why the scan stops
-        and recomputes at each residual flow.
+        :meth:`IndirectRouter.route_tokens` fallback (one vectorized
+        candidate scan per overflow flow), and the scan resumes after
+        it. Direct admissions only consume their own pair's capacity,
+        so the prefix check is exact; indirect reservations can touch
+        any pair, which is why the scan stops and recomputes at each
+        residual flow.
 
         Every admitted flow — direct or indirect — lives on as rows
         of a :class:`_DirectBatch` token store, so expiry and plane
-        failures on the batched path stay pure array compaction with
-        no per-flow Python objects.
+        failures stay pure array compaction with no per-flow Python
+        objects.
         """
-        batch = FlowBatch.from_flows(flows)
         n = len(batch)
         kinds = np.empty(n, dtype=np.uint8)
         hops = np.zeros(n, dtype=np.int64)
@@ -349,9 +293,9 @@ class AWGRNetworkSimulator:
             return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
         src = batch.src
         dst = batch.dst
-        # Same endpoint validation the scalar path gets from
-        # WavelengthAllocator._check (numpy would otherwise wrap
-        # negative indices silently).
+        # Same endpoint validation WavelengthAllocator._check gives a
+        # single allocation (numpy would otherwise wrap negative
+        # indices silently).
         if (min(src.min(), dst.min()) < 0
                 or max(src.max(), dst.max()) >= self.n_nodes):
             raise ValueError("flow endpoint out of range")
@@ -374,8 +318,8 @@ class AWGRNetworkSimulator:
             if stop >= n:
                 break
             # First flow the direct wavelengths cannot absorb: route it
-            # exactly as the scalar path would (same allocator state,
-            # same RNG draws), then rescan the remainder.
+            # on the allocator state the prefix left, then rescan the
+            # remainder.
             code, n_hops, reservations = self.router.route_tokens(
                 int(src[stop]), int(dst[stop]), int(slots[stop]))
             kinds[stop] = code
@@ -387,7 +331,7 @@ class AWGRNetworkSimulator:
                 tok_flow.extend([stop] * len(planes))
             start = stop + 1
         if tok_src:
-            bucket.batches.append(_DirectBatch(
+            bucket.append(_DirectBatch(
                 src=np.asarray(tok_src, dtype=np.int64),
                 dst=np.asarray(tok_dst, dtype=np.int64),
                 plane=np.asarray(tok_plane, dtype=np.int64),
@@ -395,7 +339,7 @@ class AWGRNetworkSimulator:
         return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
 
     def _admit_direct_prefix(self, pid: np.ndarray, slots: np.ndarray,
-                             start: int, bucket: _ExpiryBucket) -> int:
+                             start: int, bucket: list[_DirectBatch]) -> int:
         """Bulk-admit the maximal direct-capable prefix from ``start``.
 
         Returns the absolute index of the first flow that does *not*
@@ -455,7 +399,7 @@ class AWGRNetworkSimulator:
         token_mask = np.arange(seq.shape[1])[None, :] < totals[:, None]
         # Assignment-ordered tokens are flow-major within each pair, so
         # repeating flow ids by their slot counts labels every token.
-        bucket.batches.append(_DirectBatch(
+        bucket.append(_DirectBatch(
             src=g_src.repeat(totals), dst=g_dst.repeat(totals),
             plane=seq[token_mask],
             flow=(start + adm_order).repeat(p_slots)))
@@ -486,7 +430,7 @@ class AWGRNetworkSimulator:
             "state": (None if self.state is None
                       else self.state.snapshot()),
             "router": self.router.snapshot(),
-            "buckets": {str(expiry): bucket.to_dict()
+            "buckets": {str(expiry): [batch.to_dict() for batch in bucket]
                         for expiry, bucket in self._buckets.items()},
         }
 
@@ -511,8 +455,9 @@ class AWGRNetworkSimulator:
         if self.state is not None:
             self.state.restore(state["state"])
         self.router.restore(state["router"])
-        self._buckets = {int(expiry): _ExpiryBucket.from_dict(bucket)
-                         for expiry, bucket in state["buckets"].items()}
+        self._buckets = {
+            int(expiry): [_DirectBatch.from_dict(batch) for batch in bucket]
+            for expiry, bucket in state["buckets"].items()}
 
     def _snapshot_config(self) -> dict:
         """Structural identity a snapshot must match to be restorable."""
@@ -527,9 +472,8 @@ class AWGRNetworkSimulator:
     def step(self) -> None:
         """Advance one slot: retire expired flows, age piggyback state."""
         self._now += 1
-        bucket = self._buckets.pop(self._now, None)
-        if bucket is not None:
-            bucket.release(self.router, self.allocator)
+        for batch in self._buckets.pop(self._now, ()):
+            batch.release(self.allocator)
         if self.state is not None:
             self.state.step()
 
@@ -539,47 +483,13 @@ class AWGRNetworkSimulator:
             duration_slots: int = 4) -> SimulationReport:
         """Offer one batch of flows per slot and aggregate statistics.
 
-        Dispatches to the vectorized batch-admission hot path unless
-        ``batch_admission`` is off; both paths return bit-identical
-        reports for the same seed.
+        Each slot's flows become one :class:`FlowBatch` here, at the
+        boundary, and are admitted with :meth:`offer_batch`.
         """
-        if self.batch_admission:
-            return self._run_batched(flow_batches, duration_slots)
-        return self._run_scalar(flow_batches, duration_slots)
-
-    def _run_scalar(self, flow_batches: list[list[Flow]],
-                    duration_slots: int) -> SimulationReport:
-        """Reference per-flow admission loop (the pre-batching path)."""
-        report = SimulationReport()
-        for batch in flow_batches:
-            for flow in batch:
-                decision = self.offer(flow, duration_slots)
-                report.offered += 1
-                report.offered_gbps += flow.gbps
-                hops = decision.hops
-                report.hop_histogram[hops] = (
-                    report.hop_histogram.get(hops, 0) + 1)
-                if decision.kind is RouteKind.DIRECT:
-                    report.carried_direct += 1
-                    report.carried_gbps += flow.gbps
-                elif decision.kind is RouteKind.INDIRECT:
-                    report.carried_indirect += 1
-                    report.carried_gbps += flow.gbps
-                elif decision.kind is RouteKind.DOUBLE_INDIRECT:
-                    report.carried_double += 1
-                    report.carried_gbps += flow.gbps
-                else:
-                    report.blocked += 1
-            self.step()
-            report.slots += 1
-        report.stale_mispredictions = self.router.stale_mispredictions
-        return report
-
-    def _run_batched(self, flow_batches: list[list[Flow]],
-                     duration_slots: int) -> SimulationReport:
         report = SimulationReport()
         histogram = report.hop_histogram
-        for batch in flow_batches:
+        for flows in flow_batches:
+            batch = FlowBatch.from_flows(flows)
             decisions = self.offer_batch(batch, duration_slots)
             carried = decisions.carried_mask
             report.offered += len(batch)
@@ -605,7 +515,8 @@ class AWGRNetworkSimulator:
     def drain(self) -> None:
         """Release every active flow (end of experiment)."""
         for bucket in self._buckets.values():
-            bucket.release(self.router, self.allocator)
+            for batch in bucket:
+                batch.release(self.allocator)
         self._buckets.clear()
 
     # -- failure injection ---------------------------------------------------------
@@ -617,29 +528,13 @@ class AWGRNetworkSimulator:
         dropped — their surviving-plane reservations are released so
         capacity accounting stays exact (the allocator already zeroes
         the failed plane's occupancy). Returns how many flows were
-        dropped; callers model their retry as fresh offers.
-
-        Bulk-admitted flows are scanned vectorized (one mask over each
-        batch's token arrays); only the few router-carried flows still
-        walk their per-flow reservation tuples.
+        dropped; callers model their retry as fresh offers. Each token
+        batch is scanned with one mask over its arrays.
         """
         self.allocator.fail_plane(plane)
         dropped = 0
         for bucket in self._buckets.values():
-            survivors = []
-            for (flow, decision) in bucket.entries:
-                planes_used = {p for (_, _, used) in decision.reservations
-                               for p in used}
-                if plane in planes_used:
-                    dropped += 1
-                    for (a, b, used) in decision.reservations:
-                        live = [p for p in used if p != plane]
-                        if live:
-                            self.allocator.release(a, b, live)
-                else:
-                    survivors.append((flow, decision))
-            bucket.entries = survivors
-            for batch in bucket.batches:
+            for batch in bucket:
                 dropped += batch.drop_plane(self.allocator, plane)
         return dropped
 

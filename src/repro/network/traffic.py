@@ -7,13 +7,13 @@ and GPU <-> GPU collective traffic that replaces NVLink.
 
 Two representations of the same traffic:
 
-* :class:`Flow` — one Python object per flow. The readable scalar
-  form, used by the reference (oracle) admission paths and anywhere
-  a handful of flows is inspected by hand.
+* :class:`Flow` — one Python object per flow. The readable form for
+  hand-built traffic, the ``list[Flow]`` slots the simulators'
+  ``run`` loops take, and the per-flow test oracles.
 * :class:`FlowBatch` — structure-of-arrays (``src``/``dst``/``gbps``
-  numpy arrays plus an interned kind table). The hot-path form: the
-  generators sample it directly with vectorized draws, and the
-  batched admission paths consume it without materializing objects.
+  numpy arrays plus an interned kind table). The form every fabric
+  consumes: the generators sample it directly with vectorized draws,
+  and admission reads its arrays without materializing objects.
 
 The two are bit-exact views of each other: every ``*_batch`` generator
 consumes the RNG in exactly the order of the historical per-flow loop
@@ -73,18 +73,6 @@ class Flow:
         """Sub-slots this flow needs at a given slot granularity."""
         return max(1, int(np.ceil(self.gbps / gbps_per_slot)))
 
-    def to_dict(self) -> dict:
-        """JSON-stable form (simulator snapshots of in-flight flows)."""
-        return {"src": self.src, "dst": self.dst, "gbps": self.gbps,
-                "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Flow":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dicts)."""
-        return cls(src=int(payload["src"]), dst=int(payload["dst"]),
-                   gbps=float(payload["gbps"]),
-                   kind=str(payload.get("kind", "generic")))
-
 
 @dataclass
 class FlowBatch:
@@ -96,11 +84,11 @@ class FlowBatch:
     flow. All four arrays have one entry per flow (``kinds`` is the
     intern table, typically length 1 per generator).
 
-    Batches are the native currency of the vectorized pipeline:
-    generators emit them, ``offer_batch``/backend ``step`` consume
-    them, and :meth:`to_dict`/:meth:`from_dict` give the JSON-stable
-    form snapshots carry. :meth:`to_flows` (or iteration) is the
-    compatibility view for scalar-path consumers.
+    Batches are the native currency of the pipeline: generators emit
+    them, ``offer_batch``/backend ``step`` consume them, and
+    :meth:`to_dict`/:meth:`from_dict` give the JSON-stable form
+    snapshots carry. :meth:`to_flows` (or iteration) is the view for
+    per-flow consumers; :meth:`from_flows` wraps hand-built flows.
     """
 
     src: np.ndarray
@@ -251,18 +239,6 @@ class FlowBatch:
                    dst=np.concatenate([b.dst for b in batches]),
                    gbps=np.concatenate([b.gbps for b in batches]),
                    kinds=kinds, kind_codes=np.concatenate(codes))
-
-
-def as_flow_batch(flows) -> FlowBatch:
-    """Coerce a batch-or-list argument to a :class:`FlowBatch`."""
-    return FlowBatch.from_flows(flows)
-
-
-def as_flow_list(flows) -> list:
-    """Coerce a batch-or-list argument to ``list[Flow]``."""
-    if isinstance(flows, FlowBatch):
-        return flows.to_flows()
-    return list(flows)
 
 
 # -- generators (batch-native; the list forms are thin views) -----------------

@@ -121,28 +121,27 @@ class WSSNetworkSimulator:
         self.fabric.restore(state["fabric"])
 
     @staticmethod
-    def demand_matrix(flows: FlowBatch | list[Flow],
-                      n_nodes: int) -> np.ndarray:
+    def demand_matrix(batch: FlowBatch, n_nodes: int) -> np.ndarray:
         """Aggregate a flow batch into an (N, N) Gbps demand matrix.
 
-        Accepts either traffic representation. The batch form scatters
-        with unbuffered ``np.add.at``, which applies repeated (src,
-        dst) pairs in flow order — bit-identical to the per-flow
+        Scatters with unbuffered ``np.add.at``, which applies repeated
+        (src, dst) pairs in flow order — bit-identical to a per-flow
         ``+=`` loop.
         """
         demand = np.zeros((n_nodes, n_nodes))
-        if isinstance(flows, FlowBatch):
-            np.add.at(demand, (flows.src, flows.dst), flows.gbps)
-            return demand
-        for flow in flows:
-            demand[flow.src, flow.dst] += flow.gbps
+        np.add.at(demand, (batch.src, batch.dst), batch.gbps)
         return demand
 
     def run(self, flow_batches: list[list[Flow]]) -> WSSSimulationReport:
-        """Serve one batch per slot under periodic reconfiguration."""
+        """Serve one batch per slot under periodic reconfiguration.
+
+        Each slot's flows become one :class:`FlowBatch` here, at the
+        boundary.
+        """
         report = WSSSimulationReport()
-        for batch in flow_batches:
-            demand = self.demand_matrix(batch, self.n_nodes)
+        for flows in flow_batches:
+            demand = self.demand_matrix(FlowBatch.from_flows(flows),
+                                        self.n_nodes)
             downtime_fraction = 0.0
             if self._slot % self.reconfig_period == 0:
                 self.fabric.reconfigure(demand)

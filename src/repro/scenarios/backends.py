@@ -1,7 +1,7 @@
 """Fabric backends: one epoch-step interface over every simulator.
 
 The scenario engine drives fabrics through the :class:`FabricBackend`
-protocol — ``step(flows) -> EpochReport`` plus an event hook — so one
+protocol — ``step(batch) -> EpochReport`` plus an event hook — so one
 scenario runs unchanged against the paper's case (A) AWGR fabric
 (:class:`~repro.network.simulator.AWGRNetworkSimulator`), the case (B)
 reconfigurable WSS fabric (the per-slot logic of
@@ -43,13 +43,12 @@ from repro.network.electronic import (
     electronic_disaggregation_latency_ns,
 )
 from repro.network.reconfig import ReconfigurableFabric, SwitchConfiguration
-from repro.network.routing import RouteKind
 from repro.network.simulator import (
     DIRECT,
     AWGRNetworkSimulator,
     sequential_sum,
 )
-from repro.network.traffic import Flow, FlowBatch, as_flow_list
+from repro.network.traffic import FlowBatch
 from repro.network.wss_simulator import WSSNetworkSimulator
 from repro.photonics.power import TransceiverPower
 from repro.scenarios.registry import make_backend, register_backend
@@ -154,16 +153,18 @@ class EpochReport:
 class FabricBackend(Protocol):
     """Anything the scenario runner can drive through epochs.
 
-    ``step`` accepts either representation of an epoch's traffic — a
-    :class:`~repro.network.traffic.FlowBatch` (the object-free hot
-    path the runner and service pool feed) or a ``list[Flow]`` — and
-    must produce a bit-identical :class:`EpochReport` for both forms
-    of the same flows.
+    ``step`` takes one epoch's traffic as a
+    :class:`~repro.network.traffic.FlowBatch`, the form the runner and
+    service pool generate; hand-built ``Flow`` lists are wrapped with
+    :meth:`~repro.network.traffic.FlowBatch.from_flows`. Every
+    registered backend has a per-flow twin in
+    ``tests/oracles/backends.py`` whose :class:`EpochReport` stream
+    its vectorized ``step`` must match bit for bit.
     """
 
     name: str
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
+    def step(self, batch: FlowBatch) -> EpochReport:
         """Serve one epoch's flow batch and report what happened."""
         ...
 
@@ -201,11 +202,7 @@ class AWGRBackend:
     models).
 
     Epochs are admitted through the simulator's vectorized
-    :meth:`~repro.network.simulator.AWGRNetworkSimulator.offer_batch`
-    hot path by default; ``batch_admission=False`` restores the
-    per-flow reference loop. Both produce bit-identical
-    :class:`EpochReport` streams for the same seed, so registered
-    scenario sweeps replay unchanged.
+    :meth:`~repro.network.simulator.AWGRNetworkSimulator.offer_batch`.
     """
 
     n_nodes: int
@@ -219,7 +216,6 @@ class AWGRBackend:
     #: indirection the way long-lived production flows do.
     duration_slots: int = 2
     rng_seed: int = 0
-    batch_admission: bool = True
     #: False runs the §VI-A feasibility configuration (no piggybacked
     #: staleness model): routing sees ground-truth occupancy and the
     #: per-epoch status broadcast is skipped entirely.
@@ -233,43 +229,14 @@ class AWGRBackend:
             gbps_per_wavelength=self.gbps_per_wavelength,
             state_update_period=self.state_update_period,
             rng_seed=self.rng_seed,
-            batch_admission=self.batch_admission,
             track_state=self.track_state)
         self._epoch = 0
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
-        if self.batch_admission:
-            report = self._step_batched(flows)
-        else:
-            report = self._step_scalar(flows)
-        self.sim.step()
-        report.extras["healthy_planes"] = (
-            self.sim.allocator.healthy_planes)
-        self._epoch += 1
-        return report
-
-    def _step_scalar(self, flows: FlowBatch | list[Flow]) -> EpochReport:
+    def step(self, batch: FlowBatch) -> EpochReport:
         report = EpochReport(epoch=self._epoch)
-        for flow in as_flow_list(flows):
-            decision = self.sim.offer(flow, self.duration_slots)
-            report.offered += 1
-            report.offered_gbps += flow.gbps
-            if decision.kind is RouteKind.BLOCKED:
-                report.blocked += 1
-                continue
-            report.carried += 1
-            report.carried_gbps += flow.gbps
-            if decision.kind is not RouteKind.DIRECT:
-                report.indirect += 1
-            report.slowdowns.append(float(decision.hops))
-        return report
-
-    def _step_batched(self, flows: FlowBatch | list[Flow]
-                      ) -> EpochReport:
-        report = EpochReport(epoch=self._epoch)
-        decisions = self.sim.offer_batch(flows, self.duration_slots)
+        decisions = self.sim.offer_batch(batch, self.duration_slots)
         carried = decisions.carried_mask
-        report.offered = len(flows)
+        report.offered = len(batch)
         report.carried = int(np.count_nonzero(carried))
         report.blocked = report.offered - report.carried
         report.indirect = int(np.count_nonzero(
@@ -277,6 +244,10 @@ class AWGRBackend:
         report.offered_gbps = sequential_sum(0.0, decisions.gbps)
         report.carried_gbps = sequential_sum(0.0, decisions.gbps[carried])
         report.slowdowns = decisions.hops[carried].astype(float).tolist()
+        self.sim.step()
+        report.extras["healthy_planes"] = (
+            self.sim.allocator.healthy_planes)
+        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -334,12 +305,6 @@ class WSSBackend:
     "set_reconfig_time" (seconds of reconfiguration lag), and
     "fail_plane" / "repair_plane" reinterpreted as losing / regaining
     one parallel WSS switch.
-
-    ``batch_step=True`` (the default) serves the whole epoch with
-    array gathers over the demand/served matrices; the per-flow loop
-    survives as the seeded bit-identical reference oracle
-    (``batch_step=False``), mirroring the AWGR backend's
-    ``batch_admission`` switch.
     """
 
     n_nodes: int
@@ -348,7 +313,6 @@ class WSSBackend:
     gbps_per_wavelength: float = 25.0
     reconfig_period: int = 1
     slot_time_s: float = 1.0
-    batch_step: bool = True
     name: str = "wss"
 
     def __post_init__(self) -> None:
@@ -365,8 +329,9 @@ class WSSBackend:
                ) -> tuple[np.ndarray, bool, float]:
         """Reconfigure if due and compute the (N, N) served matrix.
 
-        Shared verbatim by the scalar and batched paths so the
-        scheduler/downtime behavior cannot drift between them.
+        The per-flow oracle in ``tests/oracles/backends.py`` calls this
+        too, so the scheduler/downtime behavior cannot drift between
+        the twins.
         """
         downtime_fraction = 0.0
         reconfigured = False
@@ -380,41 +345,10 @@ class WSSBackend:
                   * (1.0 - downtime_fraction))
         return served, reconfigured, downtime_fraction
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
-        if self.batch_step:
-            report = self._step_batched(FlowBatch.from_flows(flows))
-        else:
-            report = self._step_scalar(as_flow_list(flows))
-        report.extras["healthy_switches"] = len(self.fabric.configs)
-        self._epoch += 1
-        self._since_reconfig += 1
-        return report
+    def step(self, batch: FlowBatch) -> EpochReport:
+        """Serve one epoch with one gather per flow array.
 
-    def _step_scalar(self, flows: list[Flow]) -> EpochReport:
-        """Reference per-flow loop (the pre-vectorization path)."""
-        report = EpochReport(epoch=self._epoch)
-        demand = WSSNetworkSimulator.demand_matrix(flows, self.n_nodes)
-        served, reconfigured, downtime_fraction = self._serve(demand)
-        for flow in flows:
-            report.offered += 1
-            report.offered_gbps += flow.gbps
-            pair_demand = demand[flow.src, flow.dst]
-            fraction = (float(served[flow.src, flow.dst] / pair_demand)
-                        if pair_demand > 0 else 0.0)
-            if fraction <= 0.0:
-                report.blocked += 1
-                continue
-            report.carried += 1
-            report.carried_gbps += flow.gbps * fraction
-            report.slowdowns.append(1.0 / fraction)
-        report.extras["reconfigured"] = reconfigured
-        report.extras["downtime_fraction"] = downtime_fraction
-        return report
-
-    def _step_batched(self, batch: FlowBatch) -> EpochReport:
-        """Vectorized epoch: one gather per flow array, no objects.
-
-        Bit-identical to :meth:`_step_scalar`: the demand matrix
+        Bit-identical to the per-flow oracle: the demand matrix
         accumulates in flow order (unbuffered ``np.add.at``), each
         flow's service fraction is the same elementwise IEEE division,
         and the Gbps aggregates fold strictly left to right.
@@ -437,6 +371,9 @@ class WSSBackend:
         report.slowdowns = (1.0 / fraction[carried]).tolist()
         report.extras["reconfigured"] = reconfigured
         report.extras["downtime_fraction"] = downtime_fraction
+        report.extras["healthy_switches"] = len(self.fabric.configs)
+        self._epoch += 1
+        self._since_reconfig += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -514,16 +451,11 @@ class ElectronicBackend:
     are overkill for a comparator — proportional sharing matches the
     optimistic-for-electronics stance of §VI-D). Latency is reported
     as an extra, not simulated. Events are not supported.
-
-    ``batch_step=True`` (the default) computes every flow's share with
-    one scatter-add + gather; ``batch_step=False`` keeps the per-flow
-    reference loop for bit-identity tests.
     """
 
     n_nodes: int
     technology: str = "pcie-gen5"
     lanes_per_endpoint: int = 8
-    batch_step: bool = True
     name: str = "electronic"
 
     def __post_init__(self) -> None:
@@ -535,41 +467,12 @@ class ElectronicBackend:
             self.technology, endpoints=self.n_nodes)  # repro-check: derived
         self._epoch = 0
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
-        if self.batch_step:
-            report = self._step_batched(FlowBatch.from_flows(flows))
-        else:
-            report = self._step_scalar(as_flow_list(flows))
-        report.extras["added_latency_ns"] = self.added_latency_ns
-        self._epoch += 1
-        return report
+    def step(self, batch: FlowBatch) -> EpochReport:
+        """Serve one epoch: scatter-add endpoint loads, gather shares.
 
-    def _step_scalar(self, flows: list[Flow]) -> EpochReport:
-        """Reference per-flow loop (the pre-vectorization path)."""
-        report = EpochReport(epoch=self._epoch)
-        egress = np.zeros(self.n_nodes)
-        ingress = np.zeros(self.n_nodes)
-        for flow in flows:
-            egress[flow.src] += flow.gbps
-            ingress[flow.dst] += flow.gbps
-        for flow in flows:
-            report.offered += 1
-            report.offered_gbps += flow.gbps
-            share = float(min(
-                1.0,
-                self.endpoint_gbps / egress[flow.src],
-                self.endpoint_gbps / ingress[flow.dst]))
-            report.carried += 1
-            report.carried_gbps += flow.gbps * share
-            report.slowdowns.append(1.0 / share)
-        return report
-
-    def _step_batched(self, batch: FlowBatch) -> EpochReport:
-        """Vectorized epoch: scatter-add endpoint loads, gather shares.
-
-        Bit-identical to :meth:`_step_scalar`: ``np.add.at`` is
+        Bit-identical to the per-flow oracle: ``np.add.at`` is
         unbuffered so repeated endpoints accumulate in flow order
-        exactly like the ``+=`` loop, the share min-chain is the same
+        exactly like a ``+=`` loop, the share min-chain is the same
         elementwise IEEE arithmetic, and the Gbps aggregates fold
         strictly left to right.
         """
@@ -587,6 +490,8 @@ class ElectronicBackend:
         report.carried = n
         report.carried_gbps = sequential_sum(0.0, batch.gbps * share)
         report.slowdowns = (1.0 / share).tolist()
+        report.extras["added_latency_ns"] = self.added_latency_ns
+        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:

@@ -12,8 +12,6 @@ and the conformance gates with no other wiring.
 The registry records per-backend *capabilities* so callers can ask
 what a contender supports instead of special-casing names:
 
-* ``batch_step`` — has a vectorized epoch path twinned with a
-  per-flow scalar oracle (the SIM006 discipline);
 * ``fail_plane`` — honours ``fail_plane`` / ``repair_plane``
   scripted events (backends without it return ``False`` from
   ``apply_event`` and the runner counts the event as ignored);
@@ -54,8 +52,6 @@ class BackendInfo:
     name: str
     cls: type
     description: str
-    #: Vectorized epoch path with a scalar twin oracle (SIM006).
-    batch_step: bool = True
     #: Honours fail_plane / repair_plane scripted events.
     fail_plane: bool = True
     #: Exposes ``power_w()`` for iso-perf / iso-power frontiers.
@@ -67,15 +63,14 @@ class BackendInfo:
     defaults: dict = field(default_factory=dict)
 
     def capabilities(self) -> dict:
-        """JSON-stable capability flags for tables and ``/backends``."""
-        return {"batch_step": self.batch_step,
-                "fail_plane": self.fail_plane,
-                "power": self.power}
+        """JSON-stable capability flags (the ``repro arena --list``
+        table)."""
+        return {"fail_plane": self.fail_plane, "power": self.power}
 
 
 def register_backend(name: str, *, description: str = "",
-                     batch_step: bool = True, fail_plane: bool = True,
-                     power: bool = True, seed_param: str | None = None,
+                     fail_plane: bool = True, power: bool = True,
+                     seed_param: str | None = None,
                      defaults: dict | None = None,
                      ) -> Callable[[_ClassT], _ClassT]:
     """Class decorator adding a backend to the global registry.
@@ -85,7 +80,9 @@ def register_backend(name: str, *, description: str = "",
     (``step`` / ``apply_event`` / ``snapshot`` / ``restore`` and a
     ``name`` attribute) and take ``n_nodes`` as a keyword — that is
     the entire contract; registration is what wires it into the CLI,
-    sweeps, the arena, and the conformance test gates.
+    sweeps, the arena, and the conformance test gates. Those gates
+    also want the class's per-flow ``Scalar<Class>`` oracle in
+    ``tests/oracles/backends.py`` (SIM006).
     """
 
     def decorate(cls: _ClassT) -> _ClassT:
@@ -95,7 +92,7 @@ def register_backend(name: str, *, description: str = "",
                 f"(by {_REGISTRY[name].cls.__name__})")
         _REGISTRY[name] = BackendInfo(
             name=name, cls=cls, description=description,
-            batch_step=batch_step, fail_plane=fail_plane, power=power,
+            fail_plane=fail_plane, power=power,
             seed_param=seed_param, defaults=dict(defaults or {}))
         return cls
 

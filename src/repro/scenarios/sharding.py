@@ -79,8 +79,9 @@ from repro.scenarios.scenario import Scenario, derive_epoch_seed
 #: checkpointed chunk (the chunk analog of a spec's ``version``).
 #: v2: payloads carry the boundary mode (plus, in carry mode, the
 #: end-of-chunk backend snapshot) and ``events_replayed`` counts only
-#: events the backend actually applied.
-CHUNK_FORMAT = 2
+#: events the backend actually applied. v3: the AWGR simulator's
+#: expiry buckets are plain lists of sub-slot token batches.
+CHUNK_FORMAT = 3
 
 #: Chunk-boundary modes :class:`ShardedScenarioRunner` accepts.
 BOUNDARY_MODES = ("reset", "carry")

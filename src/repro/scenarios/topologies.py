@@ -20,12 +20,12 @@ paper's fabrics (:mod:`repro.scenarios.backends`):
   under hotspot scenarios.
 
 Both implement the full :class:`~repro.scenarios.backends.FabricBackend`
-surface — ``step`` (scalar oracle + vectorized ``batch_step`` twin,
-bit-identical), ``apply_event`` (``fail_plane`` / ``repair_plane``
-reinterpreted per topology), JSON-stable ``snapshot`` / ``restore`` —
-so the SIM003/SIM004/SIM006 gates, the Hypothesis round-trip property,
-carry-mode sharding, and the service layer all cover them with zero
-special cases.
+surface — a vectorized ``step`` (bit-identical to its per-flow oracle
+in ``tests/oracles/backends.py``), ``apply_event`` (``fail_plane`` /
+``repair_plane`` reinterpreted per topology), JSON-stable
+``snapshot`` / ``restore`` — so the SIM003/SIM004/SIM006 gates, the
+Hypothesis round-trip property, carry-mode sharding, and the service
+layer all cover them with zero special cases.
 
 Slowdown semantics: service stretch times path stretch — intra-group
 and full-mesh flows count 1 hop, minimally-routed global flows 2,
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.network.simulator import sequential_sum
-from repro.network.traffic import Flow, FlowBatch, as_flow_list
+from repro.network.traffic import FlowBatch
 from repro.network.wss_simulator import WSSNetworkSimulator
 from repro.photonics.power import TransceiverPower
 from repro.scenarios.backends import EpochReport
@@ -83,16 +83,11 @@ class FullMeshBackend:
     "repair_plane" with the link-plane index as ``value`` — failing a
     plane removes one link from **every** pair (a rack-wide retimer
     bank dying), mirroring the AWGR plane-failure semantics.
-
-    ``batch_step=True`` (the default) serves the epoch with one
-    demand-matrix scatter + gather; ``batch_step=False`` keeps the
-    per-flow reference loop for bit-identity tests.
     """
 
     n_nodes: int
     links_per_pair: int = 4
     gbps_per_link: float = 112.0
-    batch_step: bool = True
     name: str = "full_mesh"
 
     def __post_init__(self) -> None:
@@ -110,40 +105,10 @@ class FullMeshBackend:
         """Link planes currently serving every pair."""
         return self.links_per_pair - len(self._failed_planes)
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
-        if self.batch_step:
-            report = self._step_batched(FlowBatch.from_flows(flows))
-        else:
-            report = self._step_scalar(as_flow_list(flows))
-        report.extras["healthy_link_planes"] = self.healthy_link_planes
-        self._epoch += 1
-        return report
+    def step(self, batch: FlowBatch) -> EpochReport:
+        """Serve one epoch: demand-matrix scatter, one gather.
 
-    def _step_scalar(self, flows: list[Flow]) -> EpochReport:
-        """Reference per-flow loop (the vectorized path's oracle)."""
-        report = EpochReport(epoch=self._epoch)
-        capacity = self.healthy_link_planes * self.gbps_per_link
-        demand = WSSNetworkSimulator.demand_matrix(flows, self.n_nodes)
-        for flow in flows:
-            report.offered += 1
-            report.offered_gbps += flow.gbps
-            # The pair's own demand includes this flow, so the divisor
-            # is always positive; capacity hits 0.0 only with every
-            # plane failed, which blocks the flow outright.
-            share = float(min(
-                1.0, capacity / demand[flow.src, flow.dst]))
-            if share <= 0.0:
-                report.blocked += 1
-                continue
-            report.carried += 1
-            report.carried_gbps += flow.gbps * share
-            report.slowdowns.append(1.0 / share)
-        return report
-
-    def _step_batched(self, batch: FlowBatch) -> EpochReport:
-        """Vectorized epoch: demand-matrix scatter, one gather.
-
-        Bit-identical to :meth:`_step_scalar`: the demand matrix
+        Bit-identical to the per-flow oracle: the demand matrix
         accumulates in flow order (unbuffered ``np.add.at``), each
         share is the same elementwise IEEE min/division, and the Gbps
         aggregates fold strictly left to right.
@@ -154,6 +119,9 @@ class FullMeshBackend:
         n = len(batch)
         report.offered = n
         report.offered_gbps = sequential_sum(0.0, batch.gbps)
+        # A pair's demand includes its own flows, so the divisor is
+        # always positive; capacity hits 0.0 only with every plane
+        # failed, which blocks the flow outright.
         share = np.minimum(
             1.0, capacity / demand[batch.src, batch.dst])
         carried = share > 0.0
@@ -162,6 +130,8 @@ class FullMeshBackend:
         report.carried_gbps = sequential_sum(
             0.0, (batch.gbps * share)[carried])
         report.slowdowns = (1.0 / share[carried]).tolist()
+        report.extras["healthy_link_planes"] = self.healthy_link_planes
+        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -235,11 +205,6 @@ class DragonflyBackend:
     Events: "fail_plane" / "repair_plane" with the global-link plane
     index as ``value`` (intra-group capacity is unaffected — exactly
     the failure mode where Valiant's spreading starts to matter).
-
-    ``batch_step=True`` (the default) routes and serves the whole
-    epoch with masked gathers and a single broadcast-bound RNG draw;
-    ``batch_step=False`` keeps the per-flow reference loop for
-    bit-identity tests.
     """
 
     n_nodes: int
@@ -249,7 +214,6 @@ class DragonflyBackend:
     gbps_per_global_link: float = 50.0
     routing: str = "minimal"
     rng_seed: int = 0
-    batch_step: bool = True
     name: str = "dragonfly"
 
     def __post_init__(self) -> None:
@@ -281,82 +245,15 @@ class DragonflyBackend:
         """Global-link planes currently up between every group pair."""
         return self.global_links - len(self._failed_planes)
 
-    def step(self, flows: FlowBatch | list[Flow]) -> EpochReport:
-        if self.batch_step:
-            report = self._step_batched(FlowBatch.from_flows(flows))
-        else:
-            report = self._step_scalar(as_flow_list(flows))
-        report.extras["healthy_global_links"] = self.healthy_global_links
-        report.extras["routing"] = self.routing
-        self._epoch += 1
-        return report
+    def step(self, batch: FlowBatch) -> EpochReport:
+        """Serve one epoch: masked scatters, one RNG draw, gathers.
 
-    def _step_scalar(self, flows: list[Flow]) -> EpochReport:
-        """Reference per-flow loop (the vectorized path's oracle).
-
-        Channel loads accumulate hop-major — every flow's first hop,
-        then every detour's second hop, flow order within each pass —
-        matching the batched path's two ``np.add.at`` scatters, so
-        both paths see bit-identical channel totals.
-        """
-        report = EpochReport(epoch=self._epoch)
-        gcap = self.healthy_global_links * self.gbps_per_global_link
-        groups = self._node_group
-        # Route: consumes the router RNG once per inter-group flow, in
-        # flow order (Valiant only). ``via`` is None for intra-group
-        # flows, else the intermediate group (== dst group: minimal).
-        routed: list[tuple[int, int, int | None]] = []
-        for flow in flows:
-            g_src = int(groups[flow.src])
-            g_dst = int(groups[flow.dst])
-            if g_src == g_dst:
-                routed.append((g_src, g_dst, None))
-                continue
-            via = g_dst
-            if self.routing == "valiant":
-                draw = int(self._rng.integers(0, self.n_groups))
-                if draw not in (g_src, g_dst):
-                    via = draw
-            routed.append((g_src, g_dst, via))
-        intra = np.zeros((self.n_nodes, self.n_nodes))
-        glob = np.zeros((self.n_groups, self.n_groups))
-        for flow, (g_src, g_dst, via) in zip(flows, routed):
-            if via is None:
-                intra[flow.src, flow.dst] += flow.gbps
-            else:
-                glob[g_src, via] += flow.gbps
-        for flow, (g_src, g_dst, via) in zip(flows, routed):
-            if via is not None and via != g_dst:
-                glob[via, g_dst] += flow.gbps
-        for flow, (g_src, g_dst, via) in zip(flows, routed):
-            report.offered += 1
-            report.offered_gbps += flow.gbps
-            if via is None:
-                share = float(min(
-                    1.0, self.intra_gbps / intra[flow.src, flow.dst]))
-                hops = 1.0
-            elif via == g_dst:
-                share = float(min(1.0, gcap / glob[g_src, g_dst]))
-                hops = 2.0
-            else:
-                share = float(min(1.0, gcap / glob[g_src, via],
-                                  gcap / glob[via, g_dst]))
-                hops = 3.0
-            if share <= 0.0:
-                report.blocked += 1
-                continue
-            report.carried += 1
-            report.carried_gbps += flow.gbps * share
-            if hops > 2.0:
-                report.indirect += 1
-            report.slowdowns.append(hops / share)
-        return report
-
-    def _step_batched(self, batch: FlowBatch) -> EpochReport:
-        """Vectorized epoch: masked scatters, one RNG draw, gathers.
-
-        Bit-identical to :meth:`_step_scalar`: the broadcast-bound
-        ``integers`` call draws the same Lemire-bounded stream as the
+        Inter-group flows consume the router RNG once each, in flow
+        order (Valiant only); a draw landing on either endpoint group
+        keeps the minimal path. Channel loads accumulate hop-major —
+        every flow's first hop, then every detour's second hop.
+        Bit-identical to the per-flow oracle: the broadcast-bound
+        ``integers`` call draws the same Lemire-bounded stream as
         per-flow scalar draws (see :mod:`repro.network.traffic`),
         ``np.add.at`` accumulates each channel matrix in the oracle's
         hop-major flow order, shares are the same elementwise IEEE
@@ -403,6 +300,9 @@ class DragonflyBackend:
         report.carried_gbps = sequential_sum(
             0.0, (batch.gbps * share)[carried])
         report.slowdowns = (hops[carried] / share[carried]).tolist()
+        report.extras["healthy_global_links"] = self.healthy_global_links
+        report.extras["routing"] = self.routing
+        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:

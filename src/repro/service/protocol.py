@@ -31,9 +31,10 @@ or fails.
 
 from __future__ import annotations
 
+import inspect
 import json
 
-from repro.scenarios.registry import available_backends
+from repro.scenarios.registry import available_backends, backend_info
 from repro.scenarios.scenario import EVENT_ACTIONS, ScenarioEvent
 from repro.service.sessions import Session
 
@@ -111,6 +112,16 @@ def parse_submit(body: dict) -> dict:
     params = body.get("backend_params", {})
     if not isinstance(params, dict):
         raise ProtocolError("backend_params must be an object")
+    # The registered constructor's keywords, minus n_nodes, which the
+    # scenario sets. Checked here for the same reason as the name: a
+    # worker's TypeError would retry and then fail the session.
+    accepted = set(inspect.signature(
+        backend_info(backend).cls).parameters) - {"n_nodes"}
+    if not set(params) <= accepted:
+        raise ProtocolError(
+            f"unknown backend_params for {backend!r}: "
+            f"{sorted(set(params) - accepted)} "
+            f"(accepted: {sorted(accepted)})")
     kwargs = {
         "scenario": scenario,
         "backend": backend,

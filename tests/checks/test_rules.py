@@ -231,3 +231,101 @@ def test_scalar_only():
         report = check_source(self.SRC, "src/fabric.py",
                               rules=["SIM006"])
         assert report.findings == []
+
+
+class TestSIM006MovedOracles:
+    """Oracles production no longer runs live in ``Scalar<Class>``
+    classes under ``tests/oracles/``."""
+
+    ROUTER = '''
+class Router:
+    def route_tokens(self, src, dst):
+        return (0, 1, ())
+'''
+    ORACLE = '''
+from router import Router
+
+class ScalarRouter(Router):
+    def route_flow(self, src, dst):
+        return self.route_tokens(src, dst)
+'''
+    TWIN_TEST = '''
+from router import Router
+from tests.oracles.router import ScalarRouter
+
+def test_twins():
+    assert ScalarRouter().route_flow(0, 1) == Router().route_tokens(0, 1)
+'''
+    BACKEND = '''
+from typing import Protocol
+
+class Fabric(Protocol):
+    def step(self, batch): ...
+    def apply_event(self, event): ...
+
+class Mesh:
+    name = "mesh"
+
+    def step(self, batch):
+        return batch
+
+    def apply_event(self, event):
+        return False
+'''
+    BACKEND_ORACLE = '''
+from mesh import Mesh
+
+class ScalarMesh(Mesh):
+    def step(self, flows):
+        return list(flows)
+'''
+    BACKEND_TEST = '''
+from mesh import Mesh
+from tests.oracles.mesh import ScalarMesh
+
+def test_twins():
+    assert ScalarMesh().step([1]) == Mesh().step([1])
+'''
+
+    def keys(self, source, path, index):
+        return [f.key for f in check_source(
+            source, path, rules=["SIM006"], index_sources=index).findings]
+
+    def test_scalar_class_under_tests_oracles_is_the_oracle(self):
+        assert self.keys(self.ROUTER, "src/router.py", {
+            "tests/oracles/router.py": self.ORACLE,
+            "tests/test_router.py": self.TWIN_TEST}) == []
+
+    def test_scalar_class_elsewhere_does_not_count(self):
+        assert self.keys(self.ROUTER, "src/router.py", {
+            "tests/helpers/router.py": self.ORACLE,
+            "tests/test_router.py": self.TWIN_TEST}) == [
+            "Router.route_tokens:oracle"]
+
+    def test_twin_test_must_name_the_scalar_class(self):
+        other = self.TWIN_TEST.replace("ScalarRouter().route_flow",
+                                       "Router().route_tokens")
+        other = other.replace(
+            "from tests.oracles.router import ScalarRouter\n", "")
+        assert self.keys(self.ROUTER, "src/router.py", {
+            "tests/oracles/router.py": self.ORACLE,
+            "tests/test_router.py": other}) == [
+            "Router.route_tokens:twin-test"]
+
+    def test_backend_step_needs_its_scalar_twin(self):
+        # The protocol definition is exempt; the backend is not.
+        assert self.keys(self.BACKEND, "src/mesh.py", {
+            "tests/test_mesh.py": self.BACKEND_TEST}) == [
+            "Mesh.step:oracle"]
+        assert self.keys(self.BACKEND, "src/mesh.py", {
+            "tests/oracles/mesh.py": self.BACKEND_ORACLE,
+            "tests/test_mesh.py": self.BACKEND_TEST}) == []
+
+    def test_backend_step_twin_test_flagged(self):
+        assert self.keys(self.BACKEND, "src/mesh.py", {
+            "tests/oracles/mesh.py": self.BACKEND_ORACLE,
+            "tests/test_other.py": "def test_x():\n    pass\n"}) == [
+            "Mesh.step:twin-test"]
+
+    def test_no_index_leaves_backends_alone(self):
+        assert self.keys(self.BACKEND, "src/mesh.py", {}) == []

@@ -103,3 +103,14 @@ class TestEquivalenceWithSerialLoops:
         # Case A's defining property: zero reconfigurations.
         case_a = next(r for r in rows if "AWGR" in r["fabric"])
         assert case_a["reconfigurations"] == 0
+
+    def test_case_b_row_is_pinned(self):
+        # WSSNetworkSimulator.run builds each slot's demand matrix from
+        # its list[Flow] input; the row must not move by one ulp when
+        # that conversion changes form.
+        rows = SweepRunner(workers=1).run(
+            get_experiment("case_a_vs_case_b")).rows()
+        case_b = next(r for r in rows if "WSS" in r["fabric"])
+        assert case_b["throughput_ratio"] == 0.44310000000000005
+        assert case_b["downtime_s"] == 0.01
+        assert case_b["reconfigurations"] == 5

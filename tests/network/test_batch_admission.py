@@ -1,12 +1,14 @@
 """Scalar-vs-batched admission equivalence (the PR 3 hot path).
 
 The batched path (:meth:`AWGRNetworkSimulator.offer_batch`) must be an
-*exact* replay of sequential per-flow admission: identical
-:class:`SimulationReport` aggregates (bit-identical floats), identical
-wavelength occupancy, identical router statistics and RNG consumption
-— on uniform, hotspot, stale-state, and failure-injected workloads.
-These are seeded property-style suites: each case loops over several
-seeds rather than one hand-picked instance.
+*exact* replay of sequential per-flow admission, which
+``ScalarAWGRNetworkSimulator.offer`` in ``tests/oracles/simulator.py``
+keeps: identical :class:`SimulationReport` aggregates (bit-identical
+floats), identical wavelength occupancy, identical router statistics
+and RNG consumption — on uniform, hotspot, stale-state, and
+failure-injected workloads. These are seeded property-style suites:
+each case loops over several seeds rather than one hand-picked
+instance.
 """
 
 import numpy as np
@@ -19,20 +21,25 @@ from repro.network.simulator import (
     AWGRNetworkSimulator,
     sequential_sum,
 )
-from repro.network.traffic import Flow, hotspot_traffic, uniform_traffic
+from repro.network.traffic import (
+    Flow,
+    FlowBatch,
+    hotspot_traffic,
+    uniform_batch,
+    uniform_traffic,
+)
+from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
 
-def make_pair(seed: int, **kwargs) -> tuple[AWGRNetworkSimulator,
+def make_pair(seed: int, **kwargs) -> tuple[ScalarAWGRNetworkSimulator,
                                             AWGRNetworkSimulator]:
     """Twin simulators: scalar reference and batched hot path."""
-    scalar = AWGRNetworkSimulator(rng_seed=seed, batch_admission=False,
-                                  **kwargs)
-    batched = AWGRNetworkSimulator(rng_seed=seed, batch_admission=True,
-                                   **kwargs)
+    scalar = ScalarAWGRNetworkSimulator(rng_seed=seed, **kwargs)
+    batched = AWGRNetworkSimulator(rng_seed=seed, **kwargs)
     return scalar, batched
 
 
-def assert_equivalent(scalar: AWGRNetworkSimulator,
+def assert_equivalent(scalar: ScalarAWGRNetworkSimulator,
                       batched: AWGRNetworkSimulator,
                       batches, duration_slots: int) -> None:
     """Run both paths and require bit-identical observable state."""
@@ -164,13 +171,13 @@ class TestFailureInjectedEquivalence:
         rng = np.random.default_rng(seed)
         occupancy = sim.allocator._occupancy
         for cycle in range(4):
-            sim.offer_batch(uniform_traffic(12, 40, gbps=25.0, rng=rng),
+            sim.offer_batch(uniform_batch(12, 40, gbps=25.0, rng=rng),
                             duration_slots=3)
             assert (occupancy >= 0).all()
             plane = cycle % 3
             sim.fail_plane(plane)
             assert (occupancy >= 0).all()
-            sim.offer_batch(uniform_traffic(12, 20, gbps=25.0, rng=rng),
+            sim.offer_batch(uniform_batch(12, 20, gbps=25.0, rng=rng),
                             duration_slots=2)
             sim.step()
             assert (occupancy >= 0).all()
@@ -186,16 +193,17 @@ class TestFailureInjectedEquivalence:
 class TestOfferBatchAPI:
     def test_empty_batch(self):
         sim = AWGRNetworkSimulator(n_nodes=6)
-        decisions = sim.offer_batch([], duration_slots=2)
+        decisions = sim.offer_batch(FlowBatch.empty(), duration_slots=2)
         assert len(decisions.kinds) == 0
         assert len(decisions.gbps) == 0
 
     def test_single_flow_matches_offer(self):
-        a = AWGRNetworkSimulator(n_nodes=6, batch_admission=False)
+        a = ScalarAWGRNetworkSimulator(n_nodes=6)
         b = AWGRNetworkSimulator(n_nodes=6)
         decision = a.offer(Flow(0, 1, gbps=25.0), duration_slots=2)
-        decisions = b.offer_batch([Flow(0, 1, gbps=25.0)],
-                                  duration_slots=2)
+        decisions = b.offer_batch(
+            FlowBatch.from_flows([Flow(0, 1, gbps=25.0)]),
+            duration_slots=2)
         assert decision.kind is RouteKind.DIRECT
         assert decisions.kinds[0] == DIRECT
         assert decisions.hops[0] == 1
@@ -211,14 +219,15 @@ class TestOfferBatchAPI:
         object.__setattr__(bad, "gbps", 5.0)
         object.__setattr__(bad, "kind", "generic")
         with pytest.raises(ValueError, match="out of range"):
-            sim.offer_batch([bad])
+            sim.offer_batch(FlowBatch.from_flows([bad]))
         assert (sim.allocator._occupancy == 0).all()
 
     def test_blocked_flow_reported(self):
         sim = AWGRNetworkSimulator(n_nodes=2, planes=1,
                                    flows_per_wavelength=1)
         decisions = sim.offer_batch(
-            [Flow(0, 1, gbps=25.0), Flow(0, 1, gbps=25.0)],
+            FlowBatch.from_flows(
+                [Flow(0, 1, gbps=25.0), Flow(0, 1, gbps=25.0)]),
             duration_slots=2)
         assert decisions.kinds.tolist() == [DIRECT, BLOCKED]
         assert decisions.hops.tolist() == [1, 0]
@@ -227,7 +236,8 @@ class TestOfferBatchAPI:
     def test_batched_flows_retire_on_schedule(self):
         sim = AWGRNetworkSimulator(n_nodes=6, planes=1,
                                    flows_per_wavelength=1)
-        sim.offer_batch([Flow(0, 1, gbps=25.0)], duration_slots=2)
+        sim.offer_batch(FlowBatch.from_flows([Flow(0, 1, gbps=25.0)]),
+                        duration_slots=2)
         assert sim.allocator.used_slots(0, 1) == 1
         sim.step()
         assert sim.allocator.used_slots(0, 1) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.routing import IndirectRouter, RouteKind
+from repro.network.routing import DIRECT, INDIRECT, IndirectRouter
 from repro.network.simulator import AWGRNetworkSimulator
 from repro.network.traffic import Flow
 from repro.network.wavelength import WavelengthAllocator
@@ -68,9 +68,9 @@ class TestRoutingUnderFailure:
         alloc.fail_plane(0)
         alloc.fail_plane(1)
         # Three healthy planes remain: three direct flows then indirect.
-        kinds = [router.route_flow(0, 1).kind for _ in range(4)]
-        assert kinds[:3] == [RouteKind.DIRECT] * 3
-        assert kinds[3] is RouteKind.INDIRECT
+        kinds = [router.route_tokens(0, 1)[0] for _ in range(4)]
+        assert kinds[:3] == [DIRECT] * 3
+        assert kinds[3] == INDIRECT
 
     def test_simulator_degrades_gracefully(self):
         sim = AWGRNetworkSimulator(n_nodes=8, planes=5,

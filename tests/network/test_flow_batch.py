@@ -118,26 +118,16 @@ class TestGeneratorBitIdentity:
         assert r_batch.bit_generator.state == r_oracle.bit_generator.state
 
     def test_list_forms_are_views_of_the_batch_forms(self):
-        assert [f.to_dict() for f in uniform_traffic(16, 50, rng=3)] \
-            == [f.to_dict()
-                for f in uniform_batch(16, 50, rng=3).to_flows()]
-        assert [f.to_dict()
-                for f in hotspot_traffic(16, 2, 50, rng=3)] \
-            == [f.to_dict()
-                for f in hotspot_batch(16, 2, 50, rng=3).to_flows()]
-        assert [f.to_dict()
-                for f in cpu_memory_traffic([0, 1, 2], [3], rng=3)] \
-            == [f.to_dict()
-                for f in cpu_memory_batch([0, 1, 2], [3],
-                                          rng=3).to_flows()]
-        assert [f.to_dict()
-                for f in gpu_allreduce_traffic([4, 5, 6], 900.0)] \
-            == [f.to_dict()
-                for f in gpu_allreduce_batch([4, 5, 6],
-                                             900.0).to_flows()]
-        assert [f.to_dict() for f in gpu_hbm_traffic([0, 1], [2, 3])] \
-            == [f.to_dict()
-                for f in gpu_hbm_batch([0, 1], [2, 3]).to_flows()]
+        assert (uniform_traffic(16, 50, rng=3)
+                == uniform_batch(16, 50, rng=3).to_flows())
+        assert (hotspot_traffic(16, 2, 50, rng=3)
+                == hotspot_batch(16, 2, 50, rng=3).to_flows())
+        assert (cpu_memory_traffic([0, 1, 2], [3], rng=3)
+                == cpu_memory_batch([0, 1, 2], [3], rng=3).to_flows())
+        assert (gpu_allreduce_traffic([4, 5, 6], 900.0)
+                == gpu_allreduce_batch([4, 5, 6], 900.0).to_flows())
+        assert (gpu_hbm_traffic([0, 1], [2, 3])
+                == gpu_hbm_batch([0, 1], [2, 3]).to_flows())
 
     def test_draws_leave_rng_usable_in_place(self):
         # A generator threaded through a batch draw then a scalar draw
@@ -176,11 +166,9 @@ class TestFlowBatch:
                  + gpu_hbm_traffic([0, 1], [2, 3]))
         batch = FlowBatch.from_flows(flows)
         assert batch.kinds == ["uniform", "gpu-hbm"]
-        assert [f.to_dict() for f in batch.to_flows()] \
-            == [f.to_dict() for f in flows]
+        assert batch.to_flows() == flows
         assert len(batch) == len(flows)
-        assert [f.to_dict() for f in batch] \
-            == [f.to_dict() for f in flows]
+        assert list(batch) == flows
 
     def test_from_flows_passes_batches_through(self):
         batch = uniform_batch(8, 5, rng=0)
@@ -190,8 +178,7 @@ class TestFlowBatch:
         batch = FlowBatch.from_flows(
             [Flow(0, 1, 5.0, "a"), Flow(2, 3, 7.0, "b")])
         assert batch.kind_of(1) == "b"
-        assert batch.flow_at(0).to_dict() == Flow(0, 1, 5.0,
-                                                  "a").to_dict()
+        assert batch.flow_at(0) == Flow(0, 1, 5.0, "a")
 
     def test_concat_reinterns_kinds(self):
         a = uniform_batch(8, 4, rng=0)
@@ -199,9 +186,8 @@ class TestFlowBatch:
         c = uniform_batch(8, 2, rng=1)
         cat = FlowBatch.concat([a, b, c])
         assert cat.kinds == ["uniform", "hotspot"]
-        assert [f.to_dict() for f in cat.to_flows()] \
-            == [f.to_dict() for f in
-                a.to_flows() + b.to_flows() + c.to_flows()]
+        assert cat.to_flows() == (a.to_flows() + b.to_flows()
+                                  + c.to_flows())
 
     def test_concat_empty(self):
         assert len(FlowBatch.concat([])) == 0

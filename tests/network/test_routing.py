@@ -1,4 +1,8 @@
-"""Indirect (Valiant) routing (paper §IV)."""
+"""Indirect (Valiant) routing (paper §IV).
+
+Most cases read a route through ``route_flow``'s decision objects,
+which ``ScalarIndirectRouter`` (``tests/oracles/routing.py``) layers
+over the production router's path choice and reservations."""
 
 from collections import Counter
 
@@ -11,17 +15,18 @@ from repro.network.routing import IndirectRouter, RouteKind
 from repro.network.state import PiggybackState
 from repro.network.wavelength import WavelengthAllocator
 from tests.oracles import routing as oracle
+from tests.oracles.routing import ScalarIndirectRouter
 
 
 def make_router(n_nodes=6, planes=2, flows_per_wavelength=1,
-                update_period=None, seed=0):
+                update_period=None, seed=0, cls=ScalarIndirectRouter):
     alloc = WavelengthAllocator(n_nodes=n_nodes, planes=planes,
                                 flows_per_wavelength=flows_per_wavelength)
     state = None
     if update_period is not None:
         state = PiggybackState(alloc, update_period=update_period,
                                jitter=False)
-    return IndirectRouter(alloc, state=state, rng_seed=seed), alloc, state
+    return cls(alloc, state=state, rng_seed=seed), alloc, state
 
 
 class TestDirectFirst:
@@ -186,10 +191,11 @@ class TestRouteTokensTwin:
     KIND_CODE = {RouteKind.DIRECT: 0, RouteKind.INDIRECT: 1,
                  RouteKind.DOUBLE_INDIRECT: 2, RouteKind.BLOCKED: 3}
 
-    def drive(self, route):
+    def drive(self, route, cls=ScalarIndirectRouter):
         """Push one router through direct, indirect and blocked
         regimes, returning (outcomes, router, allocator)."""
-        router, alloc, _ = make_router(n_nodes=5, planes=1, seed=7)
+        router, alloc, _ = make_router(n_nodes=5, planes=1, seed=7,
+                                       cls=cls)
         outcomes = []
         for src, dst in [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
                          (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]:
@@ -200,7 +206,7 @@ class TestRouteTokensTwin:
         scalar, r_a, alloc_a = self.drive(
             lambda r, s, d: r.route_flow(s, d))
         batch, r_b, alloc_b = self.drive(
-            lambda r, s, d: r.route_tokens(s, d))
+            lambda r, s, d: r.route_tokens(s, d), cls=IndirectRouter)
         for decision, (code, hops, reservations) in zip(scalar, batch):
             assert self.KIND_CODE[decision.kind] == code
             assert decision.hops == hops
@@ -209,7 +215,7 @@ class TestRouteTokensTwin:
     def test_identical_rng_stats_and_occupancy(self):
         _, r_a, alloc_a = self.drive(lambda r, s, d: r.route_flow(s, d))
         _, r_b, alloc_b = self.drive(
-            lambda r, s, d: r.route_tokens(s, d))
+            lambda r, s, d: r.route_tokens(s, d), cls=IndirectRouter)
         # Same RNG stream consumed, same stats, same mispredictions.
         assert r_a.snapshot() == r_b.snapshot()
         # Same allocator mutations, plane for plane.
@@ -220,16 +226,18 @@ class TestRouteTokensTwin:
                     == alloc_b.free_slots_to(node)).all()
 
     def test_twin_stays_identical_with_stale_state(self):
-        def drive_stale(route):
+        def drive_stale(route, cls=ScalarIndirectRouter):
             router, alloc, state = make_router(
-                n_nodes=5, planes=1, update_period=1000, seed=3)
+                n_nodes=5, planes=1, update_period=1000, seed=3,
+                cls=cls)
             alloc.allocate(0, 1)
             for mid in (2, 3, 4):
                 alloc.allocate(mid, 1)
             return route(router, 0, 1), router
 
         decision, r_a = drive_stale(lambda r, s, d: r.route_flow(s, d))
-        tokens, r_b = drive_stale(lambda r, s, d: r.route_tokens(s, d))
+        tokens, r_b = drive_stale(lambda r, s, d: r.route_tokens(s, d),
+                                  cls=IndirectRouter)
         assert self.KIND_CODE[decision.kind] == tokens[0]
         assert decision.reservations == tokens[2]
         assert r_a.snapshot() == r_b.snapshot()
@@ -285,7 +293,8 @@ def build_fabric(fabric: dict):
         free = alloc.free_slots(src, hot)
         if src != hot and free > 0:
             alloc.allocate(src, hot, free)
-    router = IndirectRouter(alloc, state=state, rng_seed=fabric["seed"])
+    router = ScalarIndirectRouter(alloc, state=state,
+                                  rng_seed=fabric["seed"])
     return router, alloc, state
 
 

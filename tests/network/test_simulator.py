@@ -2,16 +2,27 @@
 
 import pytest
 
-from repro.network.routing import RouteKind
-from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import Flow, hotspot_traffic, uniform_traffic
+from repro.network.simulator import DIRECT, AWGRNetworkSimulator
+from repro.network.traffic import (
+    Flow,
+    FlowBatch,
+    hotspot_traffic,
+    uniform_traffic,
+)
+
+
+def offer(sim: AWGRNetworkSimulator, flow: Flow,
+          duration_slots: int = 1) -> int:
+    """Admit one flow; the kind code it was carried (or blocked) as."""
+    decisions = sim.offer_batch(FlowBatch.from_flows([flow]),
+                                duration_slots)
+    return int(decisions.kinds[0])
 
 
 class TestAdmission:
     def test_single_flow_direct(self):
         sim = AWGRNetworkSimulator(n_nodes=8)
-        decision = sim.offer(Flow(0, 1, gbps=25.0))
-        assert decision.kind is RouteKind.DIRECT
+        assert offer(sim, Flow(0, 1, gbps=25.0)) == DIRECT
 
     def test_slot_granularity(self):
         sim = AWGRNetworkSimulator(n_nodes=8)
@@ -20,7 +31,7 @@ class TestAdmission:
     def test_flow_retires_after_duration(self):
         sim = AWGRNetworkSimulator(n_nodes=4, planes=1,
                                    flows_per_wavelength=1)
-        sim.offer(Flow(0, 1, gbps=25.0), duration_slots=1)
+        offer(sim, Flow(0, 1, gbps=25.0), duration_slots=1)
         assert sim.allocator.used_slots(0, 1) == 1
         sim.step()
         assert sim.allocator.used_slots(0, 1) == 0
@@ -28,14 +39,14 @@ class TestAdmission:
     def test_long_flow_persists(self):
         sim = AWGRNetworkSimulator(n_nodes=4, planes=1,
                                    flows_per_wavelength=1)
-        sim.offer(Flow(0, 1, gbps=25.0), duration_slots=3)
+        offer(sim, Flow(0, 1, gbps=25.0), duration_slots=3)
         sim.step()
         assert sim.allocator.used_slots(0, 1) == 1
 
     def test_drain_releases_all(self):
         sim = AWGRNetworkSimulator(n_nodes=6)
         for dst in range(1, 6):
-            sim.offer(Flow(0, dst, gbps=25.0), duration_slots=10)
+            offer(sim, Flow(0, dst, gbps=25.0), duration_slots=10)
         sim.drain()
         assert sim.allocator.utilization() == 0.0
 
@@ -46,9 +57,9 @@ class TestMidRunPlaneFailure:
                                    flows_per_wavelength=1)
         # Two same-pair flows land on planes 0 and 1 (least-loaded
         # fill); a third pair rides its own wavelengths.
-        sim.offer(Flow(1, 0, gbps=25.0), duration_slots=10)
-        sim.offer(Flow(1, 0, gbps=25.0), duration_slots=10)
-        sim.offer(Flow(2, 3, gbps=25.0), duration_slots=10)
+        offer(sim, Flow(1, 0, gbps=25.0), duration_slots=10)
+        offer(sim, Flow(1, 0, gbps=25.0), duration_slots=10)
+        offer(sim, Flow(2, 3, gbps=25.0), duration_slots=10)
         dropped = sim.fail_plane(0)
         assert dropped == 2  # one of pair (1,0) and one of (2,3)
         assert sim.allocator.healthy_planes == 1
@@ -59,7 +70,7 @@ class TestMidRunPlaneFailure:
         # Overload one pair so some flows route indirectly and hold
         # reservations on two hops across both planes.
         for _ in range(6):
-            sim.offer(Flow(1, 0, gbps=25.0), duration_slots=10)
+            offer(sim, Flow(1, 0, gbps=25.0), duration_slots=10)
         sim.fail_plane(0)
         sim.repair_plane(0)
         sim.drain()
@@ -79,20 +90,20 @@ class TestMidRunPlaneFailure:
         again — the freed slots are really back in the allocator."""
         sim = AWGRNetworkSimulator(n_nodes=4, planes=1,
                                    flows_per_wavelength=1)
-        first = sim.offer(Flow(0, 1, gbps=25.0), duration_slots=100)
-        assert first.kind is RouteKind.DIRECT
+        first = offer(sim, Flow(0, 1, gbps=25.0), duration_slots=100)
+        assert first == DIRECT
         assert sim.allocator.free_slots(0, 1) == 0
         # The direct wavelength is taken: the next offer must detour.
-        second = sim.offer(Flow(0, 1, gbps=25.0), duration_slots=100)
-        assert second.kind is not RouteKind.DIRECT
+        second = offer(sim, Flow(0, 1, gbps=25.0), duration_slots=100)
+        assert second != DIRECT
         sim.drain()
         assert sim.allocator.free_slots(0, 1) == 1
-        again = sim.offer(Flow(0, 1, gbps=25.0), duration_slots=1)
-        assert again.kind is RouteKind.DIRECT
+        again = offer(sim, Flow(0, 1, gbps=25.0), duration_slots=1)
+        assert again == DIRECT
 
     def test_drain_is_idempotent(self):
         sim = AWGRNetworkSimulator(n_nodes=4)
-        sim.offer(Flow(0, 1, gbps=25.0), duration_slots=5)
+        offer(sim, Flow(0, 1, gbps=25.0), duration_slots=5)
         sim.drain()
         sim.drain()
         assert sim.allocator.utilization() == 0.0

@@ -3,8 +3,8 @@
 The contract under test everywhere: ``restore(snapshot())`` on a
 *freshly constructed, differently seeded* instance of the same shape,
 followed by N more slots of identical traffic, is bit-identical to a
-run that never stopped — including after plane failures/repairs and
-with batch admission on and off. Snapshots additionally must survive
+run that never stopped — including after plane failures/repairs.
+Snapshots additionally must survive
 the result cache's JSON encoding losslessly, because that is how the
 carry-mode sharded runner transports them between processes.
 """
@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.cache import decode_metrics, encode_metrics
-from repro.network.routing import RouteDecision, RouteKind
 from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import Flow, hotspot_traffic, uniform_traffic
+from repro.network.traffic import hotspot_traffic, uniform_traffic
 from repro.network.wavelength import WavelengthAllocator
 from repro.network.wss_simulator import WSSNetworkSimulator
 
@@ -60,29 +59,11 @@ class TestAllocatorSnapshot:
             a.restore(snap)
 
 
-class TestRouteDecisionRoundTrip:
-    def test_to_from_dict(self):
-        decision = RouteDecision(
-            kind=RouteKind.DOUBLE_INDIRECT, path=(0, 3, 5, 1),
-            reservations=((0, 3, (0, 1)), (3, 5, (2,)), (5, 1, (0,))),
-            used_stale_fallback=True)
-        decoded = RouteDecision.from_dict(
-            json_round_trip(decision.to_dict()))
-        assert decoded == decision
-
-    def test_flow_round_trip(self):
-        flow = Flow(2, 7, gbps=12.5, kind="cpu-mem")
-        assert Flow.from_dict(json_round_trip(flow.to_dict())) == flow
-
-
 class TestAWGRSimulatorSnapshot:
-    @pytest.mark.parametrize("batch_admission", [True, False])
     @pytest.mark.parametrize("track_state", [True, False])
-    def test_restore_then_run_is_bit_identical(self, batch_admission,
-                                               track_state):
+    def test_restore_then_run_is_bit_identical(self, track_state):
         kwargs = dict(n_nodes=10, planes=3, flows_per_wavelength=2,
-                      state_update_period=3, track_state=track_state,
-                      batch_admission=batch_admission)
+                      state_update_period=3, track_state=track_state)
         original = AWGRNetworkSimulator(rng_seed=7, **kwargs)
         original.run(mixed_batches(1), duration_slots=3)
         snap = json_round_trip(original.snapshot())
@@ -102,10 +83,10 @@ class TestAWGRSimulatorSnapshot:
         assert (original.router._rng.bit_generator.state
                 == restored.router._rng.bit_generator.state)
 
-    @pytest.mark.parametrize("batch_admission", [True, False])
-    def test_round_trip_across_fail_and_repair(self, batch_admission):
+    @pytest.mark.parametrize("track_state", [True, False])
+    def test_round_trip_across_fail_and_repair(self, track_state):
         kwargs = dict(n_nodes=10, planes=3, flows_per_wavelength=2,
-                      batch_admission=batch_admission)
+                      track_state=track_state)
         original = AWGRNetworkSimulator(rng_seed=3, **kwargs)
         original.run(mixed_batches(4, n_batches=3), duration_slots=4)
         original.fail_plane(0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.traffic import Flow, uniform_traffic
+from repro.network.traffic import Flow, FlowBatch, uniform_traffic
 from repro.network.wss_simulator import WSSNetworkSimulator
 
 
@@ -16,7 +16,8 @@ def batches(n_nodes, n_slots, seed=0, gbps=10.0, per_slot=8):
 class TestDemandMatrix:
     def test_aggregation(self):
         flows = [Flow(0, 1, 10.0), Flow(0, 1, 5.0), Flow(2, 3, 7.0)]
-        demand = WSSNetworkSimulator.demand_matrix(flows, 4)
+        demand = WSSNetworkSimulator.demand_matrix(
+            FlowBatch.from_flows(flows), 4)
         assert demand[0, 1] == 15.0
         assert demand[2, 3] == 7.0
         assert demand.sum() == 22.0

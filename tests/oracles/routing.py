@@ -1,17 +1,24 @@
-"""Allocate, recurse, release: the stale-state walk of the indirect router.
+"""Per-flow routing oracles for the indirect router.
 
-``route_core`` is the :class:`~repro.network.routing.IndirectRouter`
-walk that allocated each mispredicted candidate's first hop, recursed
-into the intermediate's own indirect routing and released the hop
-again when that fallback blocked. Production now picks the path
-first and allocates only its hops. The walk is kept verbatim as its
-bit-identity oracle; ``self`` became ``router`` and the router's
-``max_fallback_depth`` field became :data:`MAX_FALLBACK_DEPTH`, the
-paper's single second-intermediate fallback. ``route`` adds the
-router's stats bookkeeping.
+Two reference implementations, each kept verbatim:
+
+* ``route_core`` is the :class:`~repro.network.routing.IndirectRouter`
+  walk that allocated each mispredicted candidate's first hop,
+  recursed into the intermediate's own indirect routing and released
+  the hop again when that fallback blocked. Production now picks the
+  path first and allocates only its hops. ``self`` became ``router``
+  and the router's ``max_fallback_depth`` field became
+  :data:`MAX_FALLBACK_DEPTH`, the paper's single second-intermediate
+  fallback. ``route`` adds the router's stats bookkeeping.
+* :class:`ScalarIndirectRouter` adds ``route_flow``/``release`` and
+  their :class:`RouteDecision` objects: the per-flow API the
+  simulator's scalar admission loop used, twin of the object-free
+  :meth:`~repro.network.routing.IndirectRouter.route_tokens`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +29,56 @@ from repro.network.routing import (
     DOUBLE_INDIRECT,
     INDIRECT,
     IndirectRouter,
+    RouteKind,
 )
 
 MAX_FALLBACK_DEPTH = 1
+
+
+@dataclass(frozen=True)
+class RouteDecision:
+    """Outcome of routing one flow.
+
+    ``path`` lists the node sequence (src, [mid...,] dst) when carried;
+    ``reservations`` records (src, dst, planes) tuples to release later.
+    """
+
+    kind: RouteKind
+    path: tuple[int, ...]
+    reservations: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
+    used_stale_fallback: bool = False
+
+    @property
+    def hops(self) -> int:
+        """Photonic hops taken (0 when blocked)."""
+        return max(0, len(self.path) - 1)
+
+
+class ScalarIndirectRouter(IndirectRouter):
+    """:class:`IndirectRouter` with the per-flow decision-object API."""
+
+    def route_flow(self, src: int, dst: int, slots: int = 1) -> RouteDecision:
+        """Route one flow of ``slots`` sub-slots from ``src`` to ``dst``.
+
+        Tries the direct wavelength first (§IV-A: "sources consider
+        indirect paths only if the direct bandwidth ... does not
+        suffice"), then a Valiant-chosen intermediate, then the
+        intermediate's own fallback.
+        """
+        if src == dst:
+            raise ValueError("source equals destination")
+        code, path = self._route_core(src, dst, slots)
+        decision = RouteDecision(
+            kind=_KIND_BY_CODE[code], path=path,
+            reservations=self._reserve(path, slots),
+            used_stale_fallback=code == DOUBLE_INDIRECT)
+        self.stats[decision.kind] += 1
+        return decision
+
+    def release(self, decision: RouteDecision) -> None:
+        """Release every reservation of a carried flow."""
+        for (a, b, planes) in decision.reservations:
+            self.allocator.release(a, b, list(planes))
 
 
 def route(router: IndirectRouter, src: int, dst: int, slots: int = 1

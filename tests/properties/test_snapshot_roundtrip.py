@@ -49,7 +49,7 @@ def drive(backend, scenario, start, stop, base_seed):
     for epoch in range(start, stop):
         for event in scenario.events_at(epoch):
             backend.apply_event(event)
-        reports.append(backend.step(scenario.batch_at(epoch, base_seed)))
+        reports.append(backend.step(scenario.flow_batch_at(epoch, base_seed)))
     return [r.to_dict() for r in reports]
 
 

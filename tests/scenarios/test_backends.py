@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.traffic import Flow
+from repro.network.traffic import Flow, FlowBatch
 from repro.scenarios import (
     AWGRBackend,
     ElectronicBackend,
@@ -15,7 +15,8 @@ from repro.scenarios import (
 
 
 def wavelength_flows(n, dst=0, gbps=25.0):
-    return [Flow(src, dst, gbps) for src in range(1, n + 1)]
+    return FlowBatch.from_flows(
+        [Flow(src, dst, gbps) for src in range(1, n + 1)])
 
 
 class TestEpochReport:
@@ -65,7 +66,8 @@ class TestAWGRBackend:
     def test_pair_overload_goes_indirect(self):
         backend = AWGRBackend(n_nodes=8, planes=2, duration_slots=1)
         # Six same-pair wavelength flows vs two direct wavelengths.
-        report = backend.step([Flow(1, 0, 25.0) for _ in range(6)])
+        report = backend.step(
+            FlowBatch.from_flows([Flow(1, 0, 25.0) for _ in range(6)]))
         assert report.carried > 2
         assert report.indirect > 0
         assert max(report.slowdowns) >= 2.0
@@ -82,7 +84,8 @@ class TestAWGRBackend:
 
     def test_fail_plane_drops_resident_flows_cleanly(self):
         backend = AWGRBackend(n_nodes=8, planes=2, duration_slots=10)
-        backend.step([Flow(1, 0, 25.0) for _ in range(4)])
+        backend.step(
+            FlowBatch.from_flows([Flow(1, 0, 25.0) for _ in range(4)]))
         backend.apply_event(
             ScenarioEvent(epoch=0, action="fail_plane", value=0))
         backend.apply_event(
@@ -90,7 +93,7 @@ class TestAWGRBackend:
         # Surviving occupancy must release without underflow as the
         # remaining flows retire.
         for _ in range(12):
-            backend.step([])
+            backend.step(FlowBatch.empty())
         assert backend.sim.allocator.utilization() == 0.0
 
     def test_repair_restores_capacity(self):

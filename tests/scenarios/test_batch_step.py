@@ -1,13 +1,14 @@
 """Scalar-vs-batched backend equivalence (the PR 8 epoch hot path).
 
 Mirror of :mod:`tests.network.test_batch_admission` one layer up: each
-backend's ``batch_step=True`` (or ``batch_admission=True``) path must
-be an *exact* replay of its per-flow reference loop — bit-identical
-:class:`~repro.scenarios.backends.EpochReport` streams (including the
-raw slowdown samples and extras) across uniform, hotspot, and
-failure-injected workloads, plus the registered scenarios with their
-scripted events. These are seeded property-style suites: each case
-loops over several seeds rather than one hand-picked instance.
+backend's vectorized ``step`` must be an *exact* replay of its
+per-flow ``Scalar<Backend>`` oracle in ``tests/oracles/backends.py`` —
+bit-identical :class:`~repro.scenarios.backends.EpochReport` streams
+(including the raw slowdown samples and extras) across uniform,
+hotspot, and failure-injected workloads, plus the registered
+scenarios with their scripted events. These are seeded property-style
+suites: each case loops over several seeds rather than one
+hand-picked instance.
 """
 
 import numpy as np
@@ -22,15 +23,16 @@ from repro.scenarios.backends import (
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.scenario import ScenarioEvent
+from tests.oracles.backends import (
+    ScalarAWGRBackend,
+    ScalarElectronicBackend,
+    ScalarWSSBackend,
+)
 
 
-def make_twins(backend_cls, **kwargs):
+def make_twins(scalar_cls, backend_cls, **kwargs):
     """Twin backends: per-flow reference and vectorized hot path."""
-    flag = ("batch_admission" if backend_cls is AWGRBackend
-            else "batch_step")
-    scalar = backend_cls(**{flag: False, **kwargs})
-    batched = backend_cls(**{flag: True, **kwargs})
-    return scalar, batched
+    return scalar_cls(**kwargs), backend_cls(**kwargs)
 
 
 def assert_identical_epochs(scalar, batched, batches,
@@ -70,8 +72,8 @@ def wss_workloads(seed: int, n_nodes: int, n_flows: int,
 class TestWSSBitIdentity:
     @pytest.mark.parametrize("seed", range(5))
     def test_uniform_light(self, seed):
-        scalar, batched = make_twins(WSSBackend, n_nodes=12,
-                                     n_switches=3)
+        scalar, batched = make_twins(ScalarWSSBackend, WSSBackend,
+                                     n_nodes=12, n_switches=3)
         batches = [uniform_batch(12, 40, gbps=5.0, rng=100 + seed)
                    for _ in range(4)]
         assert_identical_epochs(scalar, batched, batches)
@@ -81,8 +83,8 @@ class TestWSSBitIdentity:
         # reconfig_period > 1 makes the scheduler serve stale
         # configurations, so flows see fractional service (and some
         # pairs see zero → blocked) — the interesting slowdown regime.
-        scalar, batched = make_twins(WSSBackend, n_nodes=10,
-                                     n_switches=2,
+        scalar, batched = make_twins(ScalarWSSBackend, WSSBackend,
+                                     n_nodes=10, n_switches=2,
                                      wavelengths_per_port=4,
                                      reconfig_period=3)
         batches = wss_workloads(200 + seed, n_nodes=10, n_flows=60,
@@ -92,8 +94,8 @@ class TestWSSBitIdentity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_switch_failure_and_repair(self, seed):
-        scalar, batched = make_twins(WSSBackend, n_nodes=8,
-                                     n_switches=3,
+        scalar, batched = make_twins(ScalarWSSBackend, WSSBackend,
+                                     n_nodes=8, n_switches=3,
                                      wavelengths_per_port=2,
                                      reconfig_period=2)
         batches = wss_workloads(300 + seed, n_nodes=8, n_flows=50,
@@ -107,7 +109,8 @@ class TestWSSBitIdentity:
         assert_identical_epochs(scalar, batched, batches, events)
 
     def test_empty_epoch(self):
-        scalar, batched = make_twins(WSSBackend, n_nodes=6)
+        scalar, batched = make_twins(ScalarWSSBackend, WSSBackend,
+                                     n_nodes=6)
         assert_identical_epochs(
             scalar, batched,
             [FlowBatch.empty(), uniform_batch(6, 10, rng=0),
@@ -117,7 +120,8 @@ class TestWSSBitIdentity:
 class TestElectronicBitIdentity:
     @pytest.mark.parametrize("seed", range(5))
     def test_uniform_within_caps(self, seed):
-        scalar, batched = make_twins(ElectronicBackend, n_nodes=12)
+        scalar, batched = make_twins(ScalarElectronicBackend,
+                                     ElectronicBackend, n_nodes=12)
         batches = [uniform_batch(12, 40, gbps=5.0, rng=400 + seed)
                    for _ in range(4)]
         assert_identical_epochs(scalar, batched, batches)
@@ -127,7 +131,8 @@ class TestElectronicBitIdentity:
         # One lane per endpoint + hotspot traffic drives the ingress
         # cap well below demand, so shares are fractional and the
         # 1/share slowdowns are non-trivial floats.
-        scalar, batched = make_twins(ElectronicBackend, n_nodes=10,
+        scalar, batched = make_twins(ScalarElectronicBackend,
+                                     ElectronicBackend, n_nodes=10,
                                      lanes_per_endpoint=1)
         batches = wss_workloads(500 + seed, n_nodes=10, n_flows=80,
                                 epochs=5, gbps=17.3)
@@ -136,7 +141,8 @@ class TestElectronicBitIdentity:
             uniform_batch(10, 80, gbps=17.3, rng=seed)).slowdowns)
 
     def test_empty_epoch(self):
-        scalar, batched = make_twins(ElectronicBackend, n_nodes=6)
+        scalar, batched = make_twins(ScalarElectronicBackend,
+                                     ElectronicBackend, n_nodes=6)
         assert_identical_epochs(
             scalar, batched,
             [FlowBatch.empty(), uniform_batch(6, 10, rng=0)])
@@ -150,9 +156,10 @@ class TestScenarioEpochLoopBitIdentity:
     SCENARIOS = ("demo", "diurnal_cori", "reconfig_lag")
 
     @staticmethod
-    def run_pair(name: str, backend_cls, seed: int, **kwargs):
+    def run_pair(name: str, scalar_cls, backend_cls, seed: int,
+                 **kwargs):
         scenario = get_scenario(name)
-        scalar, batched = make_twins(backend_cls,
+        scalar, batched = make_twins(scalar_cls, backend_cls,
                                      n_nodes=scenario.n_nodes, **kwargs)
         report_scalar = ScenarioRunner(scenario, scalar).run(seed=seed)
         report_batched = ScenarioRunner(scenario, batched).run(seed=seed)
@@ -161,7 +168,8 @@ class TestScenarioEpochLoopBitIdentity:
     @pytest.mark.parametrize("name", SCENARIOS)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_awgr(self, name, seed):
-        a, b = self.run_pair(name, AWGRBackend, seed, rng_seed=seed)
+        a, b = self.run_pair(name, ScalarAWGRBackend, AWGRBackend, seed,
+                             rng_seed=seed)
         assert [e.to_dict() for e in a.epochs] == \
             [e.to_dict() for e in b.epochs]
         assert a.as_dict() == b.as_dict()
@@ -169,7 +177,7 @@ class TestScenarioEpochLoopBitIdentity:
     @pytest.mark.parametrize("name", SCENARIOS)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_wss(self, name, seed):
-        a, b = self.run_pair(name, WSSBackend, seed)
+        a, b = self.run_pair(name, ScalarWSSBackend, WSSBackend, seed)
         assert [e.to_dict() for e in a.epochs] == \
             [e.to_dict() for e in b.epochs]
         assert a.as_dict() == b.as_dict()
@@ -177,29 +185,9 @@ class TestScenarioEpochLoopBitIdentity:
     @pytest.mark.parametrize("name", SCENARIOS)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_electronic(self, name, seed):
-        a, b = self.run_pair(name, ElectronicBackend, seed)
+        a, b = self.run_pair(name, ScalarElectronicBackend,
+                             ElectronicBackend, seed)
         assert [e.to_dict() for e in a.epochs] == \
             [e.to_dict() for e in b.epochs]
         assert a.as_dict() == b.as_dict()
 
-
-class TestInputFormEquivalence:
-    """step(FlowBatch) and step(list[Flow]) of the same flows must be
-    bit-identical on every backend — the FabricBackend contract."""
-
-    @pytest.mark.parametrize("backend_cls,kwargs", [
-        (AWGRBackend, {"rng_seed": 3}),
-        (WSSBackend, {"reconfig_period": 2}),
-        (ElectronicBackend, {"lanes_per_endpoint": 1}),
-    ])
-    def test_batch_and_list_forms_match(self, backend_cls, kwargs):
-        via_batch = backend_cls(n_nodes=9, **kwargs)
-        via_list = backend_cls(n_nodes=9, **kwargs)
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        for _ in range(4):
-            batch = uniform_batch(9, 30, gbps=26.0, rng=rng_a)
-            flows = uniform_batch(9, 30, gbps=26.0, rng=rng_b).to_flows()
-            report_a = via_batch.step(batch)
-            report_b = via_list.step(flows)
-            assert report_a.to_dict() == report_b.to_dict()

@@ -29,11 +29,10 @@ class TestAvailableBackends:
 
     def test_capability_flags(self):
         # The electronic comparator ignores plane events; everything
-        # else honours them. Every core backend has a vectorized twin
-        # and a power model.
+        # else honours them. Every core backend has a power model.
         for name in CORE_BACKENDS:
             caps = backend_info(name).capabilities()
-            assert caps["batch_step"] is True
+            assert set(caps) == {"fail_plane", "power"}
             assert caps["power"] is True
             assert caps["fail_plane"] is (name != "electronic")
 

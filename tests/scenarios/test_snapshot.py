@@ -3,9 +3,9 @@
 For every fabric backend: ``restore(snapshot())`` on an identically
 configured fresh instance, then N epochs, must be bit-identical to
 stepping the original instance those N epochs without the round trip —
-including after ``fail_plane``/``repair_plane`` events and with batch
-admission both on and off. All snapshots are pushed through the result
-cache's JSON encoding first, exactly as the sharded runner stores them.
+including after ``fail_plane``/``repair_plane`` events. All snapshots
+are pushed through the result cache's JSON encoding first, exactly as
+the sharded runner stores them.
 """
 
 import pytest
@@ -50,7 +50,7 @@ def drive(backend, scenario, start, stop, base_seed=3):
     for epoch in range(start, stop):
         for event in scenario.events_at(epoch):
             backend.apply_event(event)
-        reports.append(backend.step(scenario.batch_at(epoch, base_seed)))
+        reports.append(backend.step(scenario.flow_batch_at(epoch, base_seed)))
     return [r.to_dict() for r in reports]
 
 
@@ -59,8 +59,7 @@ def backend_under_test(name, **params):
 
 
 BACKEND_PARAMS = [
-    ("awgr", {"batch_admission": True}),
-    ("awgr", {"batch_admission": False}),
+    ("awgr", {}),
     ("wss", {"n_switches": 3, "wavelengths_per_port": 8,
              "reconfig_period": 2}),
     ("electronic", {}),

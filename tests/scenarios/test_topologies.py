@@ -1,7 +1,7 @@
 """Topology contenders: full mesh and dragonfly behavior, plus
-scalar-vs-batched bit-identity (the ``batch_step`` twin discipline
-SIM006 enforces for :class:`FullMeshBackend` and
-:class:`DragonflyBackend`)."""
+scalar-vs-batched bit-identity against their per-flow oracles in
+``tests/oracles/backends.py`` (the twin discipline SIM006 enforces for
+:class:`FullMeshBackend` and :class:`DragonflyBackend`)."""
 
 import numpy as np
 import pytest
@@ -17,13 +17,20 @@ from repro.scenarios.topologies import (
     DragonflyBackend,
     FullMeshBackend,
 )
+from tests.oracles.backends import (
+    ScalarDragonflyBackend,
+    ScalarFullMeshBackend,
+)
 
 
-def make_twins(backend_cls, **kwargs):
+def make_twins(scalar_cls, backend_cls, **kwargs):
     """Twin backends: per-flow reference and vectorized hot path."""
-    scalar = backend_cls(batch_step=False, **kwargs)
-    batched = backend_cls(batch_step=True, **kwargs)
-    return scalar, batched
+    return scalar_cls(**kwargs), backend_cls(**kwargs)
+
+
+def flows(*items: Flow) -> FlowBatch:
+    """One epoch of hand-built flows."""
+    return FlowBatch.from_flows(items)
 
 
 def assert_identical_epochs(scalar, batched, batches,
@@ -44,7 +51,7 @@ def assert_identical_epochs(scalar, batched, batches,
 class TestFullMeshBehavior:
     def test_under_capacity_serves_everything_at_unity(self):
         backend = FullMeshBackend(n_nodes=8)
-        report = backend.step([Flow(1, 0, 25.0), Flow(2, 3, 25.0)])
+        report = backend.step(flows(Flow(1, 0, 25.0), Flow(2, 3, 25.0)))
         assert report.carried == 2
         assert report.slowdowns == [1.0, 1.0]
         assert report.extras["healthy_link_planes"] == 4
@@ -55,7 +62,7 @@ class TestFullMeshBehavior:
         backend = FullMeshBackend(n_nodes=8, links_per_pair=1,
                                   gbps_per_link=100.0)
         report = backend.step(
-            [Flow(1, 0, 100.0), Flow(1, 0, 100.0), Flow(2, 3, 50.0)])
+            flows(Flow(1, 0, 100.0), Flow(1, 0, 100.0), Flow(2, 3, 50.0)))
         assert report.slowdowns == [2.0, 2.0, 1.0]
         assert report.carried_gbps == pytest.approx(150.0)
 
@@ -65,7 +72,7 @@ class TestFullMeshBehavior:
         assert backend.apply_event(
             ScenarioEvent(epoch=0, action="fail_plane", value=0))
         assert backend.healthy_link_planes == 1
-        report = backend.step([Flow(1, 0, 100.0)])
+        report = backend.step(flows(Flow(1, 0, 100.0)))
         assert report.slowdowns == [2.0]
         # Idempotent; repair restores.
         backend.apply_event(
@@ -79,7 +86,7 @@ class TestFullMeshBehavior:
         backend = FullMeshBackend(n_nodes=4, links_per_pair=1)
         backend.apply_event(
             ScenarioEvent(epoch=0, action="fail_plane", value=0))
-        report = backend.step([Flow(1, 0, 25.0)])
+        report = backend.step(flows(Flow(1, 0, 25.0)))
         assert report.blocked == 1
         assert report.carried == 0
 
@@ -113,14 +120,14 @@ class TestDragonflyBehavior:
     def test_intra_group_is_one_hop(self):
         # Nodes 0 and 1 share group 0 (8 nodes / 4 groups = size 2).
         backend = DragonflyBackend(n_nodes=8, n_groups=4)
-        report = backend.step([Flow(0, 1, 25.0)])
+        report = backend.step(flows(Flow(0, 1, 25.0)))
         assert report.slowdowns == [1.0]
         assert report.indirect == 0
         assert report.extras["routing"] == "minimal"
 
     def test_minimal_inter_group_is_two_hops(self):
         backend = DragonflyBackend(n_nodes=8, n_groups=4)
-        report = backend.step([Flow(0, 7, 25.0)])
+        report = backend.step(flows(Flow(0, 7, 25.0)))
         assert report.slowdowns == [2.0]
         assert report.indirect == 0
 
@@ -130,16 +137,16 @@ class TestDragonflyBehavior:
         backend = DragonflyBackend(n_nodes=8, n_groups=4,
                                    global_links=2,
                                    gbps_per_global_link=50.0)
-        report = backend.step([Flow(0, 2, 50.0), Flow(0, 3, 50.0),
-                               Flow(1, 2, 50.0), Flow(1, 3, 50.0)])
+        report = backend.step(flows(Flow(0, 2, 50.0), Flow(0, 3, 50.0),
+                                    Flow(1, 2, 50.0), Flow(1, 3, 50.0)))
         assert report.slowdowns == [4.0] * 4
         assert report.carried_gbps == pytest.approx(100.0)
 
     def test_valiant_spreads_and_reports_indirect(self):
         backend = DragonflyBackend(n_nodes=16, n_groups=4,
                                    routing="valiant", rng_seed=1)
-        flows = [Flow(src, 12 + src % 4, 25.0) for src in range(8)]
-        report = backend.step(flows)
+        report = backend.step(
+            flows(*(Flow(src, 12 + src % 4, 25.0) for src in range(8))))
         assert report.extras["routing"] == "valiant"
         # With 4 groups the draw detours ~half the flows; seed 1 must
         # produce at least one detour (3 hops) and count it indirect.
@@ -153,7 +160,7 @@ class TestDragonflyBehavior:
         assert backend.apply_event(
             ScenarioEvent(epoch=0, action="fail_plane", value=0))
         assert backend.healthy_global_links == 1
-        report = backend.step([Flow(0, 7, 100.0)])
+        report = backend.step(flows(Flow(0, 7, 100.0)))
         assert report.slowdowns == [4.0]  # 2 hops / 0.5 service
         with pytest.raises(ValueError, match="out of range"):
             backend.apply_event(
@@ -195,7 +202,8 @@ def mixed_workloads(seed: int, n_nodes: int, n_flows: int,
 class TestFullMeshBitIdentity:
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_oversubscribed(self, seed):
-        scalar, batched = make_twins(FullMeshBackend, n_nodes=10,
+        scalar, batched = make_twins(ScalarFullMeshBackend,
+                                     FullMeshBackend, n_nodes=10,
                                      links_per_pair=1,
                                      gbps_per_link=40.0)
         batches = mixed_workloads(600 + seed, n_nodes=10, n_flows=60,
@@ -204,7 +212,8 @@ class TestFullMeshBitIdentity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_plane_failure_and_repair(self, seed):
-        scalar, batched = make_twins(FullMeshBackend, n_nodes=8,
+        scalar, batched = make_twins(ScalarFullMeshBackend,
+                                     FullMeshBackend, n_nodes=8,
                                      links_per_pair=2,
                                      gbps_per_link=30.0)
         batches = mixed_workloads(700 + seed, n_nodes=8, n_flows=50,
@@ -216,7 +225,8 @@ class TestFullMeshBitIdentity:
         assert_identical_epochs(scalar, batched, batches, events)
 
     def test_empty_epoch(self):
-        scalar, batched = make_twins(FullMeshBackend, n_nodes=6)
+        scalar, batched = make_twins(ScalarFullMeshBackend,
+                                     FullMeshBackend, n_nodes=6)
         assert_identical_epochs(
             scalar, batched,
             [FlowBatch.empty(), uniform_batch(6, 10, rng=0),
@@ -227,7 +237,8 @@ class TestDragonflyBitIdentity:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("routing", ["minimal", "valiant"])
     def test_mixed_oversubscribed(self, routing, seed):
-        scalar, batched = make_twins(DragonflyBackend, n_nodes=12,
+        scalar, batched = make_twins(ScalarDragonflyBackend,
+                                     DragonflyBackend, n_nodes=12,
                                      n_groups=3, routing=routing,
                                      rng_seed=seed,
                                      gbps_per_global_link=20.0)
@@ -238,7 +249,8 @@ class TestDragonflyBitIdentity:
     @pytest.mark.parametrize("seed", range(4))
     def test_valiant_with_plane_failure(self, seed):
         # The Valiant RNG stream must stay aligned across the event.
-        scalar, batched = make_twins(DragonflyBackend, n_nodes=10,
+        scalar, batched = make_twins(ScalarDragonflyBackend,
+                                     DragonflyBackend, n_nodes=10,
                                      n_groups=5, routing="valiant",
                                      rng_seed=40 + seed,
                                      global_links=2,
@@ -252,30 +264,11 @@ class TestDragonflyBitIdentity:
         assert_identical_epochs(scalar, batched, batches, events)
 
     def test_empty_epoch(self):
-        scalar, batched = make_twins(DragonflyBackend, n_nodes=6,
+        scalar, batched = make_twins(ScalarDragonflyBackend,
+                                     DragonflyBackend, n_nodes=6,
                                      n_groups=3, routing="valiant")
         assert_identical_epochs(
             scalar, batched,
             [FlowBatch.empty(), uniform_batch(6, 10, rng=0),
              FlowBatch.empty()])
 
-
-class TestInputFormEquivalence:
-    """step(FlowBatch) and step(list[Flow]) must be bit-identical —
-    the FabricBackend contract, extended to the topology contenders."""
-
-    @pytest.mark.parametrize("backend_cls,kwargs", [
-        (FullMeshBackend, {"links_per_pair": 1, "gbps_per_link": 40.0}),
-        (DragonflyBackend, {"n_groups": 3, "routing": "valiant",
-                            "rng_seed": 3}),
-    ])
-    def test_batch_and_list_forms_match(self, backend_cls, kwargs):
-        via_batch = backend_cls(n_nodes=9, **kwargs)
-        via_list = backend_cls(n_nodes=9, **kwargs)
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        for _ in range(4):
-            batch = uniform_batch(9, 30, gbps=26.0, rng=rng_a)
-            flows = uniform_batch(9, 30, gbps=26.0, rng=rng_b).to_flows()
-            assert (via_batch.step(batch).to_dict()
-                    == via_list.step(flows).to_dict())

@@ -156,6 +156,29 @@ class TestErrors:
         assert "quantum" in str(err.value)
         assert "awgr" in str(err.value)
 
+    def test_unknown_backend_param_400_creates_no_session(self,
+                                                         service):
+        """A constructor keyword the backend lacks bounces at submit
+        instead of raising TypeError in a worker; a real one is
+        still accepted."""
+        client, gateway = service
+        with pytest.raises(ServiceError) as err:
+            client.submit(wire_scenario(3).to_config(),
+                          backend_params={"batch_admission": False})
+        assert err.value.status == 400
+        assert "batch_admission" in str(err.value)
+        assert client.sessions() == []
+        request = urllib.request.Request(
+            gateway.url + "/sessions", method="POST",
+            data=json.dumps({"scenario": wire_scenario(3).to_config(),
+                             "backend_params": {"planes": 3}}).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 201
+            session_id = json.loads(response.read())["id"]
+        client.wait(session_id)
+        assert [s["id"] for s in client.sessions()] == [session_id]
+
     def test_registry_backend_session(self, service):
         """A registry-only contender (no hand-written service shim)
         runs to completion over the wire."""

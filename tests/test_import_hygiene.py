@@ -1,4 +1,4 @@
-"""Importing the package loads neither scipy.stats nor networkx.
+"""What importing the package may and may not load.
 
 ``scipy.stats`` takes about a second to import and the package needs
 only two ``scipy.special`` functions from it; networkx is needed only
@@ -6,14 +6,20 @@ by the graph views in :mod:`repro.network.topology`. Neither belongs
 on the import path of the library, the experiment and scenario
 engines or the service. A fresh interpreter is the only place a
 clean ``sys.modules`` can be observed.
+
+The scalar oracles under ``tests/oracles/`` are the other direction:
+production must never run them, so nothing under ``src/`` imports the
+``tests`` package, statically or at import time.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 PROBE = """
 import sys
@@ -28,3 +34,39 @@ def test_package_import_loads_neither_scipy_stats_nor_networkx():
         timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "[]"
+
+
+TESTS_PROBE = """
+import sys
+import repro, repro.experiments, repro.scenarios, repro.service
+import repro.checks
+print(sorted(m for m in sys.modules
+             if m == "tests" or m.startswith("tests.")))
+"""
+
+
+def test_package_import_loads_no_test_module():
+    # Run from the repo root, where ``tests`` would be importable.
+    result = subprocess.run(
+        [sys.executable, "-c", TESTS_PROBE], capture_output=True,
+        text=True, timeout=120, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
+
+
+def test_no_source_file_imports_tests():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "tests" or n.startswith("tests.")
+                   for n in names):
+                offenders.append(f"{path.relative_to(REPO)}:"
+                                 f"{node.lineno}")
+    assert offenders == []
