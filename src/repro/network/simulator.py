@@ -13,13 +13,16 @@ each demand, which flow-level admission captures, while packet effects
 are subsumed in the fixed 35 ns latency adder evaluated separately.
 
 Admission is vectorized per slot
-(:meth:`AWGRNetworkSimulator.offer_batch`): it bulk-admits the maximal
-prefix of direct-capable flows with one grouped capacity scan and one
-scatter allocation, routes the first non-direct flow through the
-router's ``route_tokens`` fallback (itself a vectorized candidate
-scan), then rescans. Because direct admissions touch only their own
-(src, dst) wavelengths, the prefix scan is an exact replay of
-admitting the flows one at a time: the same :class:`SimulationReport`
+(:meth:`AWGRNetworkSimulator.offer_batch`): one stable sort groups
+the slot's flows by (src, dst) pair, and each pair's cumulative demand
+is checked against a per-pair threshold of free sub-slots. The least
+first-failing flow over all pairs is the next one the router's
+``route_tokens`` fallback (itself a vectorized candidate scan) must
+take; the direct flows before it are bulk-allocated in one scatter,
+and after the route only the routed flow's own pair and the pairs on
+its path are re-searched. Because direct admissions touch only their
+own (src, dst) wavelengths, the scan is an exact replay of admitting
+the flows one at a time: the same :class:`SimulationReport`
 aggregates, occupancy, RNG consumption and piggyback state, bit for
 bit. ``tests/oracles/simulator.py`` keeps that one-flow-at-a-time loop
 as the twin tests' oracle. Admission consumes
@@ -30,6 +33,7 @@ materializing a per-flow Python object.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,10 +221,11 @@ class AWGRNetworkSimulator:
     state_update_period:
         Piggyback broadcast period in slots (1 = fresh state).
     track_state:
-        When false, skip the per-node piggyback boards and route with
-        perfect information. The boards cost O(N^2) memory *per node*,
-        so rack-scale (350-MCM) feasibility checks should disable them;
-        staleness studies on smaller fabrics keep them on.
+        When false, skip the piggyback board and route with perfect
+        information: the §VI-A feasibility question (does wavelength
+        capacity exist for each demand?) that
+        :mod:`repro.core.placement` asks. Staleness studies keep it
+        on.
     """
 
     n_nodes: int
@@ -268,17 +273,19 @@ class AWGRNetworkSimulator:
                     duration_slots: int = 1) -> BatchDecisions:
         """Admit one slot's flows; they retire after ``duration_slots``.
 
-        Admitting the flows one at a time is replayed exactly: flows
-        are scanned in order, the maximal prefix that fits its direct
-        wavelengths (per-pair grouped cumulative demand against the
-        free-slot counts) is bulk-admitted with one scatter
-        allocation, the first non-direct flow is routed through the
-        :meth:`IndirectRouter.route_tokens` fallback (one vectorized
-        candidate scan per overflow flow), and the scan resumes after
-        it. Direct admissions only consume their own pair's capacity,
-        so the prefix check is exact; indirect reservations can touch
-        any pair, which is why the scan stops and recomputes at each
-        residual flow.
+        Admitting the flows one at a time is replayed exactly. One
+        stable sort groups the batch by (src, dst) pair. Each pair
+        gets a threshold: its free sub-slots at batch start, plus the
+        demand of its flows already sent to the router, minus the
+        sub-slots routed flows reserved on it. A flow is direct while
+        its pair's cumulative demand, in flow order, stays within the
+        threshold, so the next flow the router must take is the least
+        first-failing flow over all pairs. The direct flows before it
+        are bulk-allocated (the router reads occupancy), it is routed
+        through :meth:`IndirectRouter.route_tokens`, and only its own
+        pair and the pairs on its path get a new threshold and a new
+        first-failing flow: direct admissions touch only their own
+        pair, and a routed flow's reservations touch only its path.
 
         Every admitted flow — direct or indirect — lives on as rows
         of a :class:`_DirectBatch` token store, so expiry and plane
@@ -286,8 +293,8 @@ class AWGRNetworkSimulator:
         objects.
         """
         n = len(batch)
-        kinds = np.empty(n, dtype=np.uint8)
-        hops = np.zeros(n, dtype=np.int64)
+        kinds = np.full(n, DIRECT, dtype=np.uint8)
+        hops = np.ones(n, dtype=np.int64)
         gbps = batch.gbps
         if n == 0:
             return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
@@ -300,8 +307,30 @@ class AWGRNetworkSimulator:
                 or max(src.max(), dst.max()) >= self.n_nodes):
             raise ValueError("flow endpoint out of range")
         slots = batch.slots(self.slot_gbps)
-        pid = src * self.allocator.n_nodes + dst
+        pid = src * self.n_nodes + dst
         bucket = self._bucket_at(duration_slots)
+        # The one sort: flows grouped by pair, in flow order within
+        # each pair; group g spans sorted positions [lo[g], hi[g]).
+        order = np.argsort(pid, kind="stable")
+        s_pid = pid[order]
+        s_slots = slots[order]
+        lo = np.flatnonzero(np.diff(s_pid, prepend=-1))
+        hi = np.append(lo[1:], n)
+        u_pid = s_pid[lo]
+        # Inclusive cumulative demand of each pair, in flow order.
+        cumulative = np.cumsum(s_slots)
+        within = cumulative - np.repeat((cumulative - s_slots)[lo], hi - lo)
+        threshold = self.allocator.free_slots_pairs(
+            *np.divmod(u_pid, self.n_nodes))
+        ok = within <= np.repeat(threshold, hi - lo)
+        # fail[g]: pair g's first flow its threshold cannot take (n if
+        # none); flow indices rise within a group, so it is the least.
+        fail = np.minimum.reduceat(np.where(ok, n, order), lo)
+        # A routed flow updates a few pairs, each with two bisections.
+        within_l, order_l, thr = (within.tolist(), order.tolist(),
+                                  threshold.tolist())
+        lo_l, hi_l = lo.tolist(), hi.tolist()
+        group_of = dict(zip(u_pid.tolist(), range(len(lo_l))))
         # Sub-slot tokens of router-carried (indirect) flows, flushed
         # as one _DirectBatch after the scan; flow ids are batch
         # indices, so the whole flow drops together on plane failure.
@@ -309,27 +338,37 @@ class AWGRNetworkSimulator:
         tok_dst: list[int] = []
         tok_plane: list[int] = []
         tok_flow: list[int] = []
-
         start = 0
-        while start < n:
-            stop = self._admit_direct_prefix(pid, slots, start, bucket)
-            kinds[start:stop] = DIRECT
-            hops[start:stop] = 1
-            if stop >= n:
-                break
-            # First flow the direct wavelengths cannot absorb: route it
-            # on the allocator state the prefix left, then rescan the
-            # remainder.
+        stop = int(fail.min())
+        while stop < n:
+            self._reserve_direct(order, s_pid, s_slots, start, stop, bucket)
             code, n_hops, reservations = self.router.route_tokens(
                 int(src[stop]), int(dst[stop]), int(slots[stop]))
             kinds[stop] = code
             hops[stop] = n_hops
+            # The routed flow's demand no longer counts against its
+            # pair; its reservations count against the path's pairs.
+            own = group_of[int(pid[stop])]
+            thr[own] += int(slots[stop])
+            touched = {own}
             for (a, b, planes) in reservations:
                 tok_src.extend([a] * len(planes))
                 tok_dst.extend([b] * len(planes))
                 tok_plane.extend(planes)
                 tok_flow.extend([stop] * len(planes))
+                g = group_of.get(a * self.n_nodes + b)
+                if g is not None:
+                    thr[g] -= len(planes)
+                    touched.add(g)
             start = stop + 1
+            for g in touched:
+                # First flow at or after ``start`` past the threshold:
+                # cumulative demand rises, so once over, always over.
+                k = max(bisect_right(within_l, thr[g], lo_l[g], hi_l[g]),
+                        bisect_left(order_l, start, lo_l[g], hi_l[g]))
+                fail[g] = order_l[k] if k < hi_l[g] else n
+            stop = int(fail.min())
+        self._reserve_direct(order, s_pid, s_slots, start, n, bucket)
         if tok_src:
             bucket.append(_DirectBatch(
                 src=np.asarray(tok_src, dtype=np.int64),
@@ -338,73 +377,29 @@ class AWGRNetworkSimulator:
                 flow=np.asarray(tok_flow, dtype=np.int64)))
         return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
 
-    def _admit_direct_prefix(self, pid: np.ndarray, slots: np.ndarray,
-                             start: int, bucket: list[_DirectBatch]) -> int:
-        """Bulk-admit the maximal direct-capable prefix from ``start``.
-
-        Returns the absolute index of the first flow that does *not*
-        fit its direct wavelengths (== ``len(pid)`` when everything
-        fits). Flows in ``[start, stop)`` are allocated exactly as
-        sequential least-loaded ``allocate`` calls would.
-        """
-        alloc = self.allocator
-        n_nodes = alloc.n_nodes
-        seg_pid = pid[start:]
-        seg_slots = slots[start:]
-        # Group the segment by pair, order-preserving within each pair.
-        order = np.argsort(seg_pid, kind="stable")
-        s_pid = seg_pid[order]
-        s_slots = seg_slots[order]
-        new_group = np.empty(len(s_pid), dtype=bool)
-        new_group[0] = True
-        np.not_equal(s_pid[1:], s_pid[:-1], out=new_group[1:])
-        group_start = np.flatnonzero(new_group)
-        group_sizes = np.diff(np.append(group_start, len(s_pid)))
-        # Inclusive per-pair cumulative demand, in flow order.
-        cumulative = np.cumsum(s_slots)
-        base = (cumulative - s_slots)[group_start]
-        within = cumulative - np.repeat(base, group_sizes)
-        # Free-slot matrix entries for the pairs present, computed once.
-        u_pid = s_pid[group_start]
-        u_src, u_dst = np.divmod(u_pid, n_nodes)
-        total = alloc.healthy_planes * alloc.flows_per_wavelength
-        u_free = total - alloc._occupancy[u_src, u_dst].sum(axis=1)
-        ok_sorted = within <= np.repeat(u_free, group_sizes)
-        ok = np.empty(len(s_pid), dtype=bool)
-        ok[order] = ok_sorted
-        bad = np.flatnonzero(~ok)
-        stop = start + (int(bad[0]) if bad.size else len(s_pid))
-        if stop == start:
-            return stop
-
-        # Scatter-allocate the admitted prefix, grouped by pair. When
-        # the whole segment fit (the hot case under uniform load) the
-        # scan's grouping is reused instead of re-sorting the prefix.
-        if stop - start == len(s_pid):
-            adm_order, p_slots = order, s_slots
-            g_start = group_start
-            g_src, g_dst = u_src, u_dst
-        else:
-            adm_pid = pid[start:stop]
-            adm_order = np.argsort(adm_pid, kind="stable")
-            p_pid = adm_pid[adm_order]
-            p_slots = slots[start:stop][adm_order]
-            first = np.empty(len(p_pid), dtype=bool)
-            first[0] = True
-            np.not_equal(p_pid[1:], p_pid[:-1], out=first[1:])
-            g_start = np.flatnonzero(first)
-            g_src, g_dst = np.divmod(p_pid[g_start], n_nodes)
-        totals = np.add.reduceat(p_slots, g_start)
-        seq = alloc.allocate_pairs(g_src, g_dst, totals)
+    def _reserve_direct(self, order: np.ndarray, s_pid: np.ndarray,
+                        s_slots: np.ndarray, start: int, stop: int,
+                        bucket: list[_DirectBatch]) -> None:
+        """Allocate the direct flows ``start <= i < stop`` in one
+        :meth:`~repro.network.wavelength.WavelengthAllocator.allocate_pairs`
+        call, exactly as sequential least-loaded ``allocate`` calls
+        would, taking them from the batch's pair-sorted arrays by a
+        mask."""
+        if stop <= start:
+            return
+        keep = (order >= start) & (order < stop)
+        order, s_pid, s_slots = order[keep], s_pid[keep], s_slots[keep]
+        first = np.flatnonzero(np.diff(s_pid, prepend=-1))
+        g_src, g_dst = np.divmod(s_pid[first], self.n_nodes)
+        totals = np.add.reduceat(s_slots, first)
+        seq = self.allocator.allocate_pairs(g_src, g_dst, totals)
         token_mask = np.arange(seq.shape[1])[None, :] < totals[:, None]
         # Assignment-ordered tokens are flow-major within each pair, so
         # repeating flow ids by their slot counts labels every token.
         bucket.append(_DirectBatch(
             src=g_src.repeat(totals), dst=g_dst.repeat(totals),
-            plane=seq[token_mask],
-            flow=(start + adm_order).repeat(p_slots)))
+            plane=seq[token_mask], flow=order.repeat(s_slots)))
         self.router.stats[RouteKind.DIRECT] += stop - start
-        return stop
 
     # -- snapshot / restore ----------------------------------------------------------
 
@@ -412,7 +407,7 @@ class AWGRNetworkSimulator:
         """JSON-stable capture of every piece of mutable run state.
 
         Covers the slot clock, wavelength occupancy, failed planes,
-        the piggyback boards (including their jitter phases), the
+        the piggyback board (including its jitter phases), the
         router's RNG/stats, and the expiry buckets holding every
         in-flight flow — enough that ``restore(snapshot())`` on a
         freshly constructed (even differently seeded) simulator of the

@@ -17,11 +17,15 @@ data — exactly the failure mode the paper's two-stage fallback
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.wavelength import WavelengthAllocator
+from repro.network.wavelength import (
+    WavelengthAllocator,
+    decode_array,
+    encode_array,
+)
 
 
 @dataclass
@@ -66,7 +70,12 @@ class OccupancyBoard:
 
 @dataclass
 class PiggybackState:
-    """Global staleness model: one :class:`OccupancyBoard` per source.
+    """Global staleness model: the piggybacked view every source holds.
+
+    A due source's status vector reaches every other source on the
+    AWGR in the same slot, so the per-source views are always equal:
+    one :class:`OccupancyBoard` holds them all, and :meth:`board_of`
+    returns it for any node.
 
     Parameters
     ----------
@@ -84,14 +93,13 @@ class PiggybackState:
     update_period: int = 1
     jitter: bool = True
     rng_seed: int = 0
-    boards: list[OccupancyBoard] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.update_period <= 0:
             raise ValueError("update_period must be positive")
         n = self.allocator.n_nodes
         slots = self.allocator.planes * self.allocator.flows_per_wavelength
-        self.boards = [OccupancyBoard(n, slots) for _ in range(n)]
+        self.board = OccupancyBoard(n, slots)
         rng = np.random.default_rng(self.rng_seed)
         if self.jitter and self.update_period > 1:
             self._phase = rng.integers(0, self.update_period, size=n)
@@ -103,76 +111,67 @@ class PiggybackState:
     # -- time ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one slot: age every view, deliver due broadcasts.
+        """Advance one slot: age the view, deliver due broadcasts.
 
         The due sources' status vectors are gathered in one batched
         :meth:`~repro.network.wavelength.WavelengthAllocator.slot_bitmaps`
-        read and installed with one row assignment per board — the
-        same values the per-source ``_broadcast`` loop would write
-        (integer row installs, no accumulation), without the N_due x N
-        Python calls that used to dominate full-rack epochs.
+        read and installed with one row assignment.
         """
         self._now += 1
+        self.board.tick()
         due = np.flatnonzero(
             (self._now + self._phase) % self.update_period == 0)
-        fresh = self.allocator.slot_bitmaps(due) if due.size else None
-        for board in self.boards:
-            board.tick()
-            if fresh is not None:
-                board.view[due] = fresh
-                board.age[due] = 0
+        if due.size:
+            self.board.view[due] = self.allocator.slot_bitmaps(due)
+            self.board.age[due] = 0
 
     def broadcast_all(self) -> None:
         """Deliver fresh state from every source (e.g. at t=0)."""
         srcs = np.arange(self.allocator.n_nodes)
-        fresh = self.allocator.slot_bitmaps(srcs)
-        for board in self.boards:
-            board.view[srcs] = fresh
-            board.age[srcs] = 0
-
-    def _broadcast(self, src: int) -> None:
-        vector = self.allocator.slot_bitmap(src)
-        for board in self.boards:
-            board.refresh_from(src, vector)
+        self.board.view[...] = self.allocator.slot_bitmaps(srcs)
+        self.board.age[...] = 0
 
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-stable capture of every board plus the broadcast clock.
+        """JSON-stable capture of the board plus the broadcast clock.
 
         The per-source jitter phases are included because they are
         drawn from the constructor's RNG: a restored instance built
         with a different seed must still broadcast on the original
-        schedule.
+        schedule. The board's arrays travel as
+        :func:`~repro.network.wavelength.encode_array` envelopes.
         """
         return {
             "now": self._now,
             "phase": [int(p) for p in self._phase],
-            "boards": [{"view": b.view.tolist(), "age": b.age.tolist()}
-                       for b in self.boards],
+            "board": {"view": encode_array(self.board.view),
+                      "age": encode_array(self.board.age)},
         }
 
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`snapshot` (accepts JSON-decoded dicts)."""
-        if len(state["boards"]) != len(self.boards):
+        view = decode_array(state["board"]["view"])
+        age = decode_array(state["board"]["age"])
+        board = self.board
+        if view.shape != board.view.shape or age.shape != board.age.shape:
             raise ValueError(
-                f"snapshot has {len(state['boards'])} boards, "
-                f"expected {len(self.boards)}")
+                f"snapshot board shapes {view.shape} / {age.shape} do "
+                f"not match {board.view.shape} / {board.age.shape}")
         self._now = int(state["now"])
         self._phase = np.asarray(state["phase"], dtype=np.int64)
-        for board, payload in zip(self.boards, state["boards"]):
-            board.view[...] = np.asarray(payload["view"], dtype=np.int32)
-            board.age[...] = np.asarray(payload["age"], dtype=np.int64)
+        board.view[...] = view
+        board.age[...] = age
 
     # -- queries ---------------------------------------------------------------
 
     def board_of(self, node: int) -> OccupancyBoard:
-        """The view held by ``node``."""
-        return self.boards[node]
+        """The view held by ``node`` (the same board for every node)."""
+        return self.board
 
     def max_staleness(self) -> int:
-        """Oldest view age across all boards (slots)."""
-        return max(int(b.age.max()) for b in self.boards)
+        """Oldest view age (slots)."""
+        return int(self.board.age.max())
 
     def piggyback_overhead_fraction(self, broadcasts_per_second: float = 10.0,
                                     bits_per_pair: int = 8,

@@ -14,6 +14,8 @@ Occupancy is tracked at flow granularity: each wavelength carries up to
 
 from __future__ import annotations
 
+import base64
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +26,32 @@ import numpy as np
 _UNAVAILABLE = np.int64(1) << 40
 
 
-def _scatter_add(target: np.ndarray, flat_indices: np.ndarray,
-                 delta: int) -> None:
-    """Add ``delta`` at (possibly repeated) flat indices of ``target``.
+def encode_array(values: np.ndarray) -> dict:
+    """JSON-stable envelope of an integer array for snapshots.
 
-    ``np.unique`` collapses repeats to counts so the update is one
-    fancy-indexed add instead of a slow ``ufunc.at`` over every token.
+    Holds the dtype, the shape and the zlib-compressed, base64-encoded
+    bytes. The dtype is the narrowest that holds the array's value
+    range (``np.min_scalar_type``), so equal arrays encode to equal
+    envelopes whatever dtype they are kept in, and counts that
+    outgrow a byte (or board ages that outgrow 16 bits) still
+    round-trip exactly.
     """
-    unique, counts = np.unique(flat_indices, return_counts=True)
-    flat = target.reshape(-1)
-    flat[unique] += (delta * counts).astype(flat.dtype)
+    if values.dtype.kind not in "iu":
+        raise TypeError(f"cannot encode {values.dtype} array")
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    # A signed type that holds -(hi + 1) also holds hi.
+    dtype = np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
+    data = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return {"dtype": dtype.str, "shape": list(values.shape),
+            "data": base64.b64encode(zlib.compress(data)).decode("ascii")}
+
+
+def decode_array(payload: dict) -> np.ndarray:
+    """Inverse of :func:`encode_array` (accepts JSON-decoded dicts)."""
+    raw = zlib.decompress(base64.b64decode(payload["data"]))
+    shape = tuple(int(size) for size in payload["shape"])
+    dtype = np.dtype(payload["dtype"])
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 @dataclass
@@ -69,6 +87,11 @@ class WavelengthAllocator:
         # occupancy[src, dst, plane] = sub-slots in use on that wavelength.
         self._occupancy = np.zeros(
             (self.n_nodes, self.n_nodes, self.planes), dtype=np.int32)
+        # used[src, dst] = occupancy[src, dst].sum(): every write keeps
+        # it in step, so capacity queries gather instead of summing
+        # over planes.
+        self._used = np.zeros(  # repro-check: derived
+            (self.n_nodes, self.n_nodes), dtype=np.int32)
         self._failed_planes: set[int] = set()
         # Boolean in-service mask, kept in sync with _failed_planes so
         # the vectorized paths never rebuild per-call plane lists.
@@ -79,7 +102,7 @@ class WavelengthAllocator:
     def used_slots(self, src: int, dst: int) -> int:
         """Sub-slots in use across all planes for the pair."""
         self._check(src, dst)
-        return int(self._occupancy[src, dst].sum())
+        return int(self._used[src, dst])
 
     def free_slots(self, src: int, dst: int) -> int:
         """Free sub-slots across all planes for the pair."""
@@ -106,13 +129,20 @@ class WavelengthAllocator:
         """(n_nodes,) free sub-slots from ``src`` toward every node."""
         self._check(src, 0)
         total = self.healthy_planes * self.flows_per_wavelength
-        return total - self._occupancy[src].sum(axis=1)
+        return total - self._used[src]
 
     def free_slots_to(self, dst: int) -> np.ndarray:
         """(n_nodes,) free sub-slots from every node toward ``dst``."""
         self._check(0, dst)
         total = self.healthy_planes * self.flows_per_wavelength
-        return total - self._occupancy[:, dst].sum(axis=1)
+        return total - self._used[:, dst]
+
+    def free_slots_pairs(self, src: np.ndarray,
+                         dst: np.ndarray) -> np.ndarray:
+        """Free sub-slots of every ``(src[i], dst[i])`` pair — the
+        batched form of :meth:`free_slots` for trusted indices."""
+        total = self.healthy_planes * self.flows_per_wavelength
+        return total - self._used[src, dst]
 
     def occupancy_bitmap(self, src: int) -> np.ndarray:
         """(n_nodes,) bool array: fully-occupied direct paths from src.
@@ -122,7 +152,7 @@ class WavelengthAllocator:
         """
         self._check(src, 0)
         total = self.healthy_planes * self.flows_per_wavelength
-        return self._occupancy[src].sum(axis=1) >= total
+        return self._used[src] >= total
 
     def slot_bitmap(self, src: int) -> np.ndarray:
         """(n_nodes,) int array of used sub-slots from ``src``.
@@ -131,7 +161,7 @@ class WavelengthAllocator:
         256 bytes" in the paper's sizing example).
         """
         self._check(src, 0)
-        return self._occupancy[src].sum(axis=1).copy()
+        return self._used[src].copy()
 
     def slot_bitmaps(self, srcs: np.ndarray) -> np.ndarray:
         """(len(srcs), n_nodes) used sub-slot counts, one row per
@@ -140,7 +170,7 @@ class WavelengthAllocator:
         srcs = np.asarray(srcs, dtype=np.intp)
         if srcs.size and (srcs.min() < 0 or srcs.max() >= self.n_nodes):
             raise IndexError("source index out of range")
-        return self._occupancy[srcs].sum(axis=2)
+        return self._used[srcs]
 
     # -- mutation --------------------------------------------------------------
 
@@ -170,6 +200,7 @@ class WavelengthAllocator:
             plane = int(np.argmin(
                 np.where(self._healthy, occ, _UNAVAILABLE)))
             occ[plane] += 1
+            self._used[src, dst] += 1
             return [plane]
         p = self.planes
         vals = occ.astype(np.int64)[:, None] + np.arange(
@@ -180,7 +211,8 @@ class WavelengthAllocator:
         take = np.argpartition(keys, slots - 1)[:slots]
         take = take[np.argsort(keys[take])]
         used = take // slots  # keys laid out plane-major
-        _scatter_add(occ, used, 1)
+        occ += np.bincount(used, minlength=p)
+        self._used[src, dst] += slots
         return used.tolist()
 
     def allocate_pairs(self, src: np.ndarray, dst: np.ndarray,
@@ -205,8 +237,8 @@ class WavelengthAllocator:
             # degenerates to one least-loaded argmin per pair.
             occ = self._occupancy[src, dst]
             plane = np.where(self._healthy, occ, _UNAVAILABLE).argmin(axis=1)
-            _scatter_add(self._occupancy,
-                         (src * self.n_nodes + dst) * p + plane, 1)
+            self._occupancy[src, dst, plane] += 1
+            self._used[src, dst] += 1
             return plane[:, None]
         seq = np.full((len(src), max_total), -1, dtype=np.int64)
         single = totals == 1
@@ -227,9 +259,10 @@ class WavelengthAllocator:
         idx = np.take_along_axis(part, np.argsort(sub, axis=1), axis=1)
         m_seq = idx // max_total  # keys laid out plane-major per pair
         mask = np.arange(max_total)[None, :] < m_totals[:, None]
-        flat = ((m_src.repeat(m_totals) * self.n_nodes
-                 + m_dst.repeat(m_totals)) * p + m_seq[mask])
-        _scatter_add(self._occupancy, flat, 1)
+        rows = np.arange(m).repeat(m_totals)
+        counts = np.bincount(rows * p + m_seq[mask], minlength=m * p)
+        self._occupancy[m_src, m_dst] += counts.reshape(m, p)
+        self._used[m_src, m_dst] += m_totals
         m_seq[~mask] = -1
         seq[multi] = m_seq
         return seq
@@ -244,6 +277,7 @@ class WavelengthAllocator:
                 raise RuntimeError(
                     f"release underflow on ({src}, {dst}) plane {plane}")
             self._occupancy[src, dst, plane] -= 1
+            self._used[src, dst] -= 1
 
     def release_tokens(self, src: np.ndarray, dst: np.ndarray,
                        planes: np.ndarray) -> None:
@@ -262,10 +296,15 @@ class WavelengthAllocator:
         if (flat[unique] < counts).any():
             raise RuntimeError("bulk release underflow")
         flat[unique] -= counts.astype(flat.dtype)
+        # ``unique`` is sorted, so each pair's tokens are adjacent.
+        pair = unique // self.planes
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        self._used.reshape(-1)[pair[first]] -= np.add.reduceat(counts, first)
 
     def reset(self) -> None:
         """Clear all occupancy (failed planes stay failed)."""
         self._occupancy.fill(0)
+        self._used.fill(0)
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -275,9 +314,10 @@ class WavelengthAllocator:
         Occupancy counts and the failed-plane set are the allocator's
         entire mutable surface; everything else is construction-time
         configuration. The dict round-trips losslessly through the
-        result cache's JSON encoding (ints only).
+        result cache's JSON encoding: the occupancy travels as an
+        :func:`encode_array` envelope, the failed planes as ints.
         """
-        return {"occupancy": self._occupancy.tolist(),
+        return {"occupancy": encode_array(self._occupancy),
                 "failed_planes": sorted(self._failed_planes)}
 
     def restore(self, state: dict) -> None:
@@ -287,7 +327,7 @@ class WavelengthAllocator:
         taken with; occupancy is copied in place so any views other
         components hold stay valid.
         """
-        occupancy = np.asarray(state["occupancy"], dtype=np.int32)
+        occupancy = decode_array(state["occupancy"])
         if occupancy.shape != self._occupancy.shape:
             raise ValueError(
                 f"snapshot occupancy shape {occupancy.shape} does not "
@@ -296,6 +336,7 @@ class WavelengthAllocator:
         if any(not 0 <= p < self.planes for p in failed):
             raise ValueError("snapshot failed plane out of range")
         self._occupancy[...] = occupancy
+        self._used[...] = self._occupancy.sum(axis=2)
         self._failed_planes = failed
         self._healthy = np.ones(self.planes, dtype=bool)
         if failed:
@@ -330,6 +371,7 @@ class WavelengthAllocator:
         srcs, dsts = np.nonzero(occ)
         dropped = list(zip(srcs.tolist(), dsts.tolist(),
                            occ[srcs, dsts].tolist()))
+        self._used -= occ
         occ.fill(0)
         self._failed_planes.add(plane)
         self._healthy[plane] = False

@@ -397,9 +397,12 @@ class WSSBackend:
             fabric.n_switches -= 1
             return True
         if event.action == "repair_plane":
-            fabric.configs.append(SwitchConfiguration(
-                fabric.radix, fabric.wavelengths_per_port))
-            fabric.n_switches += 1
+            # A healthy bank has nothing to repair; it never grows
+            # past its provisioned ``n_switches``.
+            if len(fabric.configs) < self.n_switches:
+                fabric.configs.append(SwitchConfiguration(
+                    fabric.radix, fabric.wavelengths_per_port))
+                fabric.n_switches += 1
             return True
         return False
 

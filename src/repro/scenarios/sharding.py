@@ -80,8 +80,10 @@ from repro.scenarios.scenario import Scenario, derive_epoch_seed
 #: v2: payloads carry the boundary mode (plus, in carry mode, the
 #: end-of-chunk backend snapshot) and ``events_replayed`` counts only
 #: events the backend actually applied. v3: the AWGR simulator's
-#: expiry buckets are plain lists of sub-slot token batches.
-CHUNK_FORMAT = 3
+#: expiry buckets are plain lists of sub-slot token batches. v4: one
+#: piggyback board, and AWGR occupancy and board arrays travel as
+#: compressed typed envelopes.
+CHUNK_FORMAT = 4
 
 #: Chunk-boundary modes :class:`ShardedScenarioRunner` accepts.
 BOUNDARY_MODES = ("reset", "carry")

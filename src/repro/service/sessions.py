@@ -50,8 +50,10 @@ from repro.scenarios.scenario import Scenario
 #: Bump when the serialized session record changes shape: retires
 #: every suspended session in every store (the session analog of the
 #: sharded runner's ``CHUNK_FORMAT``). v2: the AWGR simulator's expiry
-#: buckets are plain lists of sub-slot token batches.
-SESSION_FORMAT = 2
+#: buckets are plain lists of sub-slot token batches. v3: one piggyback
+#: board, and AWGR occupancy and board arrays travel as compressed
+#: typed envelopes.
+SESSION_FORMAT = 3
 
 #: Lifecycle states a session moves through. ``queued`` sessions sit
 #: in the pool's run queue (or have a suspend/fork pending), running

@@ -13,8 +13,10 @@ instance.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.network.routing import RouteKind
+from repro.network.routing import _KIND_BY_CODE, RouteKind
 from repro.network.simulator import (
     BLOCKED,
     DIRECT,
@@ -129,6 +131,119 @@ class TestSeededEquivalence:
         # Sanity: the third flow really was displaced.
         assert batched.router.stats[RouteKind.DIRECT] == 1
         assert batched.router.stats[RouteKind.BLOCKED] >= 1
+
+
+def spy_route_tokens(sim: AWGRNetworkSimulator) -> list[int]:
+    """Record the kind code of every ``route_tokens`` answer."""
+    codes: list[int] = []
+    route_tokens = sim.router.route_tokens
+
+    def spy(*args, **kwargs):
+        result = route_tokens(*args, **kwargs)
+        codes.append(result[0])
+        return result
+
+    sim.router.route_tokens = spy
+    return codes
+
+
+@st.composite
+def admission_cases(draw):
+    """A fabric, planes failed up front, and a few slots of flows.
+
+    Flows run between at most four nodes, so one pair sees several
+    flows of mixed sub-slot sizes (some larger than the pair's whole
+    capacity) and routed hops land on pairs with direct flows later
+    in the batch. A drawn hot destination gets its column saturated
+    at the head of the first slot.
+    """
+    n = draw(st.integers(3, 5))
+    planes = draw(st.integers(1, 4))
+    fpw = draw(st.integers(1, 3))
+    config = dict(n_nodes=n, planes=planes, flows_per_wavelength=fpw,
+                  state_update_period=draw(st.integers(1, 3)),
+                  seed=draw(st.integers(0, 2**32 - 1)))
+    failed = draw(st.lists(st.integers(0, planes - 1), unique=True,
+                           max_size=planes - 1))
+    capacity = (planes - len(failed)) * fpw
+    slot_gbps = 25.0 / fpw
+    nodes = st.integers(0, min(n, 4) - 1)
+    flow = st.builds(
+        lambda pair, k: Flow(pair[0], pair[1], k * slot_gbps),
+        st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1]),
+        st.just(1) | st.integers(1, planes * fpw + 1))
+    slots = draw(st.lists(st.lists(flow, max_size=30), min_size=1,
+                          max_size=3))
+    hot = draw(st.none() | st.integers(0, n - 1))
+    if hot is not None:
+        slots[0] = [Flow(x, hot, capacity * slot_gbps)
+                    for x in range(n) if x != hot] + slots[0]
+    return (config, failed, slots, draw(st.integers(1, 3)),
+            draw(st.integers(0, planes - 1)))
+
+
+class TestGeneratedEquivalence:
+    @given(case=admission_cases())
+    @settings(max_examples=200, deadline=None)
+    # A (0, 1) flow wider than the pair's capacity, then ones it takes.
+    @example(case=({"n_nodes": 4, "planes": 2, "flows_per_wavelength": 1,
+                    "state_update_period": 1, "seed": 0}, [],
+                   [[Flow(0, 1, 75.0), Flow(0, 1, 25.0),
+                     Flow(0, 1, 25.0), Flow(0, 1, 25.0)]], 2, 0))
+    # A routed (0, 1) flow reserves (0, 2) and (2, 1) ahead of the
+    # direct (2, 1) flow behind it.
+    @example(case=({"n_nodes": 3, "planes": 1, "flows_per_wavelength": 1,
+                    "state_update_period": 1, "seed": 0}, [],
+                   [[Flow(0, 1, 25.0), Flow(0, 1, 25.0),
+                     Flow(0, 2, 25.0), Flow(2, 1, 25.0)]], 1, 0))
+    def test_offer_batch_replays_offer(self, case):
+        """``offer_batch`` against the per-flow ``offer`` loop: kinds,
+        hops, router stats and occupancy after every slot, then the
+        dropped count and occupancy after a later plane failure and
+        after everything expires. ``route_tokens`` never answers
+        DIRECT, so the scan routes only flows their pair cannot
+        take."""
+        config, failed, slots, duration, later = case
+        scalar, batched = make_pair(**config)
+        codes = spy_route_tokens(batched)
+        for plane in failed:
+            assert scalar.fail_plane(plane) == batched.fail_plane(plane) == 0
+        for flows in slots:
+            expected = [scalar.offer(flow, duration) for flow in flows]
+            decisions = batched.offer_batch(FlowBatch.from_flows(flows),
+                                            duration)
+            assert [_KIND_BY_CODE[k] for k in decisions.kinds.tolist()] \
+                == [d.kind for d in expected]
+            assert decisions.hops.tolist() == [d.hops for d in expected]
+            assert scalar.router.stats == batched.router.stats
+            assert (scalar.router.stale_mispredictions
+                    == batched.router.stale_mispredictions)
+            assert np.array_equal(scalar.allocator._occupancy,
+                                  batched.allocator._occupancy)
+            scalar.step()
+            batched.step()
+        assert DIRECT not in codes
+        if later not in batched.allocator.failed_planes and (
+                batched.allocator.healthy_planes > 1):
+            assert scalar.fail_plane(later) == batched.fail_plane(later)
+            assert np.array_equal(scalar.allocator._occupancy,
+                                  batched.allocator._occupancy)
+        for _ in range(duration):
+            scalar.step()
+            batched.step()
+        assert not scalar.allocator._occupancy.any()
+        assert not batched.allocator._occupancy.any()
+
+    def test_routes_only_flows_their_pair_cannot_take(self):
+        """A flow too big for its pair goes to the router once; the
+        smaller flow behind it on the same pair stays direct."""
+        sim = AWGRNetworkSimulator(n_nodes=4, planes=5,
+                                   flows_per_wavelength=1)
+        codes = spy_route_tokens(sim)
+        decisions = sim.offer_batch(FlowBatch.from_flows(
+            [Flow(0, 1, 150.0), Flow(0, 1, 25.0)]))
+        assert codes == [BLOCKED]
+        assert decisions.kinds.tolist() == [BLOCKED, DIRECT]
 
 
 class TestFailureInjectedEquivalence:

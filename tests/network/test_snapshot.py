@@ -14,8 +14,13 @@ import pytest
 
 from repro.experiments.cache import decode_metrics, encode_metrics
 from repro.network.simulator import AWGRNetworkSimulator
+from repro.network.state import PiggybackState
 from repro.network.traffic import hotspot_traffic, uniform_traffic
-from repro.network.wavelength import WavelengthAllocator
+from repro.network.wavelength import (
+    WavelengthAllocator,
+    decode_array,
+    encode_array,
+)
 from repro.network.wss_simulator import WSSNetworkSimulator
 
 
@@ -57,6 +62,59 @@ class TestAllocatorSnapshot:
         snap["failed_planes"] = [7]
         with pytest.raises(ValueError, match="out of range"):
             a.restore(snap)
+
+
+class TestArrayEnvelope:
+    def test_wide_values_round_trip(self):
+        # 350 sub-slots on one wavelength outgrow a byte, and board
+        # ages outgrow 16 bits.
+        alloc = WavelengthAllocator(n_nodes=4, planes=2,
+                                    flows_per_wavelength=400)
+        alloc.allocate(0, 1, slots=700)
+        state = PiggybackState(alloc)
+        state.board.age[:] = [0, 65_536, 2**40, 7]
+        snap = json_round_trip({"allocator": alloc.snapshot(),
+                                "state": state.snapshot()})
+        other = WavelengthAllocator(n_nodes=4, planes=2,
+                                    flows_per_wavelength=400)
+        other.restore(snap["allocator"])
+        restored = PiggybackState(other)
+        restored.restore(snap["state"])
+        assert np.array_equal(other._occupancy, alloc._occupancy)
+        assert other._occupancy.max() == 350
+        assert np.array_equal(restored.board.view, state.board.view)
+        assert restored.board.view.max() == 700
+        assert np.array_equal(restored.board.age, state.board.age)
+
+    def test_dtype_follows_the_value_range(self):
+        assert decode_array(encode_array(np.array([-1, 300]))).dtype \
+            == np.int16
+        assert encode_array(np.zeros((2, 3), dtype=np.int64))["dtype"] \
+            == np.dtype(np.uint8).str
+        assert decode_array(encode_array(np.array([-129, 5]))).dtype \
+            == np.int16
+        assert decode_array(encode_array(np.zeros(0, dtype=int))).shape \
+            == (0,)
+        with pytest.raises(TypeError):
+            encode_array(np.zeros(3))
+
+    def test_equal_states_encode_to_equal_strings(self):
+        a = WavelengthAllocator(n_nodes=6, planes=3)
+        b = WavelengthAllocator(n_nodes=6, planes=3)
+        a.allocate(0, 1, slots=3)
+        a.allocate(2, 4, slots=9)
+        b.allocate(2, 4, slots=9)
+        b.allocate(0, 1, slots=3)
+        assert (encode_metrics(a.snapshot())
+                == encode_metrics(b.snapshot()))
+        assert (encode_array(np.arange(5, dtype=np.int64))
+                == encode_array(np.arange(5, dtype=np.int32)))
+
+    def test_board_shape_mismatch_rejected(self):
+        small = PiggybackState(WavelengthAllocator(n_nodes=4))
+        large = PiggybackState(WavelengthAllocator(n_nodes=5))
+        with pytest.raises(ValueError, match="shape"):
+            large.restore(small.snapshot())
 
 
 class TestAWGRSimulatorSnapshot:

@@ -98,7 +98,8 @@ def backend_params(name: str, n_nodes: int):
 
 def valid_script(name: str, planes: int, drawn) -> tuple:
     """The drawn events a run can apply: an AWGR keeps one plane and
-    a WSS bank one switch; everything else takes any in-range plane."""
+    a WSS bank one switch (a repair never grows the bank past its
+    provisioned size); everything else takes any in-range plane."""
     failed: set = set()
     switches = planes
     script = []
@@ -115,7 +116,7 @@ def valid_script(name: str, planes: int, drawn) -> tuple:
                 switches -= 1
         elif event.action == "repair_plane":
             failed.discard(event.value)
-            switches += 1
+            switches = min(switches + 1, planes)
         script.append(event)
     return tuple(script)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.traffic import Flow, FlowBatch
+from repro.network.traffic import Flow, FlowBatch, uniform_batch
 from repro.scenarios import (
     AWGRBackend,
     ElectronicBackend,
@@ -151,6 +151,22 @@ class TestWSSBackend:
         assert len(backend.fabric.configs) == 3
         # The repaired fabric still serves traffic.
         assert backend.step(wavelength_flows(4)).carried > 0
+
+    def test_repair_on_healthy_bank_is_a_noop(self):
+        # Regression: every repair used to append a switch, so three
+        # repairs on a healthy 2-switch bank left 5 switches carrying
+        # 3592.8 Gbps of this epoch where the untouched bank carries
+        # 3443.1.
+        batch = uniform_batch(6, 40, gbps=100.0, rng=0)
+        untouched = make_backend("wss", 6, n_switches=2)
+        repaired = make_backend("wss", 6, n_switches=2)
+        for _ in range(3):
+            assert repaired.apply_event(
+                ScenarioEvent(epoch=0, action="repair_plane", value=0))
+        assert len(repaired.fabric.configs) == 2
+        assert repaired.snapshot() == untouched.snapshot()
+        assert (repaired.step(batch).carried_gbps
+                == untouched.step(batch).carried_gbps)
 
 
 class TestElectronicBackend:
