@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.network.wavelength import decode_array, encode_array
+
 
 @dataclass
 class SwitchConfiguration:
@@ -94,8 +96,8 @@ def schedule_demand(demand: np.ndarray, wavelengths_per_port: int,
     Parameters
     ----------
     demand:
-        (N, N) nonnegative demand estimate (any units; only ratios
-        matter). The diagonal is ignored.
+        (N, N) nonnegative, finite demand estimate (any units; only
+        ratios matter). The diagonal is ignored.
     wavelengths_per_port:
         Wavelength budget per input *and* output port.
     stagger:
@@ -107,17 +109,24 @@ def schedule_demand(demand: np.ndarray, wavelengths_per_port: int,
     Notes
     -----
     Sources are planned one after another (they share output-port
-    capacity), but each source's leftovers are granted in one masked
-    take: the first ``leftover`` *eligible* destinations in
-    ``np.argsort`` order, where eligible means not the source, positive
-    demand and spare output capacity. That is exactly what a walk over
-    the sorted destinations granting one wavelength at a time yields,
-    because eligibility cannot change during the walk: it visits each
-    destination once and a grant decrements only the capacity of the
-    destination just visited. The same holds for an idle source's
-    spread, which takes the first ``wavelengths_per_port`` eligible
-    peers in order of spare capacity. Parallel switches differ only
-    in stagger and in the output capacity they have left, so
+    capacity), each only over its positive-demand columns: a
+    zero-demand column has floor 0 and is never eligible for a
+    leftover, so a plan over the full row never touches it. A
+    source's leftovers go to the first ``leftover`` *eligible*
+    columns, those with output capacity to spare after the floors,
+    in ascending remainder-key order. That is exactly what a walk
+    over the ``np.argsort``-sorted destinations granting one
+    wavelength at a time yields, because eligibility cannot change
+    during the walk: it visits each destination once and a grant
+    decrements only the capacity of the destination just visited.
+    While a row's positive keys are pairwise distinct they fix that
+    order alone, so it is sorted once for all rows. A row whose
+    positive columns tie exactly takes ``np.argsort``'s own tie
+    order from a sort of its full row. An idle source's spread still
+    sorts its full row: it takes the first ``wavelengths_per_port``
+    eligible peers in ``np.argsort`` order of spare capacity, whose
+    integer keys tie heavily. Parallel switches differ only in
+    stagger and in the output capacity they have left, so
     :meth:`ReconfigurableFabric.reconfigure` plans the whole bank in
     the same pass over rows; this function is its one-switch case.
     """
@@ -132,66 +141,128 @@ def _schedule(demand: np.ndarray, wavelengths_per_port: int,
     ``demand`` is a float array the planner owns: its diagonal is
     zeroed in place. Returns one (N, N) assignment per stagger, the
     ``s``-th equal to ``schedule_demand(demand, wavelengths_per_port,
-    staggers[s])``. The share, floor and remainder work depends only
-    on the source row, so each row computes it once for all S
-    switches; only output capacity, stagger and the grants are per
-    switch, held as (S, N) arrays.
+    staggers[s])``.
+
+    Pass 1 plans each source with demand over its k positive-demand
+    columns only, as (k, S) slices; zero-demand columns stay
+    untouched (see :func:`schedule_demand`'s Notes). Share, floor
+    and the remainder key depend on the source row and the stagger
+    but not on output capacity, so :func:`_grant_order` computes
+    them once per call for every positive entry and sorts each row's
+    keys, falling back to a full-row ``np.argsort`` for a row whose
+    keys tie. The row loop keeps only the work that depends on
+    capacity: clamp the floors to it, then grant the leftovers to the
+    first eligible columns in key order. Pass 2 plans idle sources
+    over full (S, N) rows.
     """
     if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
         raise ValueError("demand must be square")
     if (demand < 0).any():
         raise ValueError("demand must be nonnegative")
+    if not np.isfinite(demand).all():
+        raise ValueError("demand must be finite")
+    # C order makes each of the batched row sums equal that row's own
+    # ``sum()`` bit for bit, which the shares depend on.
+    demand = np.ascontiguousarray(demand)
     n = demand.shape[0]
     w = wavelengths_per_port
     np.fill_diagonal(demand, 0.0)
 
     staggers = np.asarray(staggers, dtype=np.int64)[:, None]
-    assignments = [np.zeros((n, n), dtype=np.int64) for _ in staggers]
+    switch = np.arange(len(staggers))
+    assignments = np.zeros((len(staggers), n, n), dtype=np.int64)
     out_capacity = np.full((len(staggers), n), w, dtype=np.int64)
-    # Row s of an (S, N) array starts at flat index s * n.
-    offsets = np.arange(len(staggers))[:, None] * n
+    capacity = out_capacity.reshape(-1)
     totals = demand.sum(axis=1)
     # Stagger breaks remainder ties (and near-ties) differently on
     # each parallel switch.
     bias = ((np.arange(n) - staggers) % n) / (4.0 * n)
 
-    def grant(plan: np.ndarray, order: np.ndarray, eligible: np.ndarray,
-              counts) -> None:
-        # One more wavelength to each of the first counts[s] eligible
-        # destinations of order[s], on every switch s at once.
-        slots = order + offsets
-        ranked = eligible.take(slots)
-        ranked &= ranked.cumsum(axis=1) <= counts
-        won = slots[ranked]
-        plan.reshape(-1)[won] += 1
-        out_capacity.reshape(-1)[won] -= 1
-
     # Pass 1: sources with demand claim output capacity first, so
     # idle sources' reachability fallback cannot starve real traffic.
-    for src in np.flatnonzero(totals > 0):
-        row = demand[src]
-        share = row / row.sum() * w
-        floor = np.floor(share)
-        plan = np.minimum(floor.astype(np.int64), out_capacity)
-        out_capacity -= plan
-        leftover = w - plan.sum(axis=1, keepdims=True)
-        if leftover.any():
-            # The zeroed diagonal already keeps the source ineligible.
-            grant(plan, np.argsort(-((share - floor) - bias), axis=1),
-                  (row > 0) & (out_capacity > 0), leftover)
-        for assignment, planned in zip(assignments, plan):
-            assignment[src] = planned
+    bounds, rows, cols, floors, _ = _grant_order(demand, totals, w, bias)
+    # Flat slots of each (entry, switch) in out_capacity and in the
+    # assignments.
+    capacity_slots = cols + switch * n
+    plan_slots = cols + (switch * n + rows[:, None]) * n
+    planned = assignments.reshape(-1)
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        slots = capacity_slots[start:stop]
+        spare = capacity[slots]
+        floor = floors[start:stop]
+        plan = np.minimum(floor, spare)
+        # A column with capacity left after its floor is eligible for
+        # one leftover wavelength; the first ``leftover`` eligible
+        # columns in key order win one each.
+        grant = spare > floor
+        grant &= np.add.accumulate(grant) <= w - np.add.reduce(plan)
+        plan += grant
+        capacity[slots] = spare - plan
+        planned[plan_slots[start:stop]] = plan
 
     # Pass 2: idle sources spread one wavelength toward each peer with
     # spare output capacity (all-to-all reachability, §V-B spirit).
+    # Row s of an (S, N) array starts at flat index s * n.
+    offsets = switch[:, None] * n
     for src in np.flatnonzero(totals <= 0):
-        plan = np.zeros_like(out_capacity)
         eligible = out_capacity > 0
         eligible[:, src] = False
-        grant(plan, np.argsort(-out_capacity, axis=1), eligible, w)
-        for assignment, planned in zip(assignments, plan):
-            assignment[src] = planned
-    return assignments
+        slots = np.argsort(-out_capacity, axis=1) + offsets
+        ranked = eligible.take(slots)
+        ranked &= ranked.cumsum(axis=1) <= w
+        won = slots[ranked]
+        capacity[won] -= 1
+        plan = np.zeros_like(out_capacity)
+        plan.reshape(-1)[won] = 1
+        assignments[:, src] = plan
+    return list(assignments)
+
+
+def _grant_order(demand: np.ndarray, totals: np.ndarray, w: int,
+                 bias: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every source row's positive-demand columns in leftover order.
+
+    Returns ``(bounds, rows, cols, floors, tied)``. The E positive
+    entries of ``demand`` are grouped by source row: ``rows`` (E,)
+    holds each entry's source, ascending, and a row's entries are
+    ``bounds[r]:bounds[r + 1]``. Column ``s`` of ``cols`` and
+    ``floors`` (E, S) lists each row's columns and their floors in
+    the order switch ``s`` grants leftovers: ascending remainder key
+    ``-((share - floor) - bias[s])``, the order in which a full-row
+    ``np.argsort`` puts the positive columns.
+
+    That order is fixed by the keys alone while they are pairwise
+    distinct, so one argsort of the keys, padded per row to the
+    longest row, finds it for every row and switch. Where two positive
+    columns of a row tie exactly on some switch, ``np.argsort``'s own
+    tie order decides, so such a row (its source listed in ``tied``)
+    takes its order from the full-row ``np.argsort`` the one-row
+    scheduler runs.
+    """
+    rows, cols = np.nonzero(demand)
+    bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=len(demand)))
+    counts = np.diff(bounds)
+    share = demand[rows, cols] / totals[rows] * w
+    floor = np.floor(share)
+    key = -((share - floor) - bias[:, cols])
+    # (S, R, kmax) keys; the +inf pads sort after every finite key.
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    padded = np.full((len(bias),) + real.shape, np.inf)
+    padded[:, real] = key
+    order = np.argsort(padded, axis=2)
+    keys = np.sort(padded, axis=2)
+    tie = (keys[:, :, 1:] == keys[:, :, :-1]) & real[:, 1:]
+    entries = (order + bounds[:-1, None])[:, real].T
+    cols, floors = cols[entries], floor.astype(np.int64)[entries]
+    tied = np.flatnonzero(tie.any(axis=(0, 2)))
+    for start, stop in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
+        row = demand[rows[start]]
+        share = row / totals[rows[start]] * w
+        floor = np.floor(share)
+        full = np.argsort(-((share - floor) - bias), axis=1)
+        cols[start:stop] = full[row[full] > 0].reshape(len(bias), -1).T
+        floors[start:stop] = floor[cols[start:stop]]
+    return bounds, rows, cols, floors, rows[bounds[tied]]
 
 
 @dataclass
@@ -259,13 +330,14 @@ class ReconfigurableFabric:
         because scenario events mutate them mid-run; the per-switch
         assignments are what the next epoch's served bandwidth depends
         on, and the counters keep availability accounting continuous
-        across a checkpoint boundary.
+        across a checkpoint boundary. Each assignment travels as an
+        :func:`~repro.network.wavelength.encode_array` envelope.
         """
         return {
             "n_switches": self.n_switches,
             "reconfig_time_s": self.reconfig_time_s,
             "scheduler_latency_s": self.scheduler_latency_s,
-            "assignments": [cfg.assignment.tolist()
+            "assignments": [encode_array(cfg.assignment)
                             for cfg in self.configs],
             "reconfigurations": self.reconfigurations,
             "ports_disturbed": self.ports_disturbed,
@@ -274,16 +346,21 @@ class ReconfigurableFabric:
 
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`snapshot` (accepts JSON-decoded dicts)."""
-        assignments = state["assignments"]
+        assignments = [decode_array(a).astype(np.int64)
+                       for a in state["assignments"]]
         if len(assignments) != int(state["n_switches"]):
             raise ValueError("snapshot switch count does not match "
                              "its assignment list")
+        for assignment in assignments:
+            if assignment.shape != (self.radix, self.radix):
+                raise ValueError(
+                    f"snapshot assignment shape {assignment.shape} does "
+                    f"not match radix {self.radix}")
         self.n_switches = int(state["n_switches"])
         self.reconfig_time_s = float(state["reconfig_time_s"])
         self.scheduler_latency_s = float(state["scheduler_latency_s"])
         self.configs = [
-            SwitchConfiguration(self.radix, self.wavelengths_per_port,
-                                np.asarray(a, dtype=np.int64))
+            SwitchConfiguration(self.radix, self.wavelengths_per_port, a)
             for a in assignments]
         self.reconfigurations = int(state["reconfigurations"])
         self.ports_disturbed = int(state["ports_disturbed"])

@@ -83,7 +83,8 @@ from repro.scenarios.scenario import Scenario, derive_epoch_seed
 #: expiry buckets are plain lists of sub-slot token batches. v4: one
 #: piggyback board, and AWGR occupancy and board arrays travel as
 #: compressed typed envelopes.
-CHUNK_FORMAT = 4
+#: v5: WSS switch assignments travel as compressed typed envelopes.
+CHUNK_FORMAT = 5
 
 #: Chunk-boundary modes :class:`ShardedScenarioRunner` accepts.
 BOUNDARY_MODES = ("reset", "carry")

@@ -53,7 +53,8 @@ from repro.scenarios.scenario import Scenario
 #: buckets are plain lists of sub-slot token batches. v3: one piggyback
 #: board, and AWGR occupancy and board arrays travel as compressed
 #: typed envelopes.
-SESSION_FORMAT = 3
+#: v4: WSS switch assignments travel as compressed typed envelopes.
+SESSION_FORMAT = 4
 
 #: Lifecycle states a session moves through. ``queued`` sessions sit
 #: in the pool's run queue (or have a suspend/fork pending), running

@@ -95,6 +95,13 @@ class TestScheduler:
         with pytest.raises(ValueError):
             schedule_demand(-np.ones((3, 3)), 4)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_demand(self, bad):
+        demand = np.ones((3, 3))
+        demand[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            schedule_demand(demand, 4)
+
 
 class TestFabric:
     def test_reconfigure_and_serve(self):

@@ -1,18 +1,20 @@
-"""The one-pass WSS bank scheduler equals its per-destination oracle.
+"""The sparse-row WSS bank scheduler equals its per-destination oracle.
 
-``ReconfigurableFabric.reconfigure`` plans every switch in one masked
-pass per source row; ``tests.oracles.reconfig`` keeps the loop that
-walked each switch and each destination one at a time. Every
-assignment and every counter must match exactly.
+``ReconfigurableFabric.reconfigure`` plans every switch at once, each
+source over its positive-demand columns only; ``tests.oracles.reconfig``
+keeps the loop that walked each switch and each destination one at a
+time. Every assignment and every counter must match exactly.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import reconfig
 from repro.network.reconfig import ReconfigurableFabric, schedule_demand
 from repro.network.wss_simulator import WSSNetworkSimulator
 from repro.scenarios.backends import WSSBackend
@@ -25,7 +27,10 @@ RACKMIX = Path(__file__).resolve().parents[2] / "perfbench" / "rackmix.py"
 @st.composite
 def demands(draw) -> np.ndarray:
     """Square demand with remainder ties, a hot column, idle rows and
-    single-destination rows."""
+    single-destination rows; or, in the rack's shape, up to 120 ports
+    with 1-4 positive destinations per source."""
+    if draw(st.booleans()):
+        return draw(sparse_demands())
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -46,6 +51,48 @@ def demands(draw) -> np.ndarray:
     return demand
 
 
+@st.composite
+def sparse_demands(draw) -> np.ndarray:
+    """Up to 120 ports, each source wanting 1-4 destinations, as an
+    aggregated rack epoch does; some sources idle, an optional hot
+    column."""
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integral = draw(st.booleans())
+    demand = np.zeros((n, n))
+    for src in range(n):
+        peers = np.delete(np.arange(n), src)
+        dsts = rng.choice(peers, min(n - 1, int(rng.integers(1, 5))),
+                          replace=False)
+        if integral:
+            # Small integers: equal shares and tied remainders.
+            demand[src, dsts] = rng.integers(1, 5, len(dsts))
+        else:
+            demand[src, dsts] = rng.random(len(dsts)) * 1e3
+    if draw(st.booleans()):
+        # A hot column, like the I/O node during a checkpoint burst.
+        demand[rng.random(n) < 0.5, draw(st.integers(0, n - 1))] = 1e3
+    demand[rng.random(n) < draw(st.floats(0.0, 0.3))] = 0.0
+    return demand
+
+
+@pytest.fixture
+def grant_orders(monkeypatch):
+    """What each plan handed ``_grant_order`` and which rows it found
+    tied."""
+    calls = []
+    real = reconfig._grant_order
+
+    def spy(demand, totals, w, bias):
+        result = real(demand, totals, w, bias)
+        calls.append({"demand": demand.copy(), "totals": totals.copy(),
+                      "tied": result[-1].tolist()})
+        return result
+
+    monkeypatch.setattr(reconfig, "_grant_order", spy)
+    return calls
+
+
 def assert_same_bank(fabric: ReconfigurableFabric,
                      twin: ReconfigurableFabric) -> None:
     assert len(fabric.configs) == len(twin.configs)
@@ -57,7 +104,7 @@ def assert_same_bank(fabric: ReconfigurableFabric,
 
 
 @given(demand=demands(), w=st.integers(1, 32), switches=st.integers(1, 11))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_bank_matches_oracle_switch_by_switch(demand, w, switches):
     n = len(demand)
     fabric = ReconfigurableFabric(n_switches=switches, radix=n,
@@ -88,6 +135,56 @@ def test_tied_remainders_follow_argsort_tie_order():
     assert demand.sum() == 4 * n * w
     np.testing.assert_array_equal(schedule_demand(demand, w),
                                   oracle.schedule_demand(demand, w))
+
+
+def test_sparse_row_tie_takes_the_full_row_order(grant_orders):
+    # Source 7 wants ports 32, 38 and 48 of a 64-port bank of four
+    # 8-wavelength switches. Each switch sees a quarter of the demand,
+    # so the shares are exactly 0.5, 1.1875 and 6.3125: floors 0, 1
+    # and 6 and one leftover. On switch 3 (stagger 48) the keys of 32
+    # and 48 tie exactly: -(0.5 - 48/256) == -(0.3125 - 0/256). The
+    # full-row np.argsort puts one of them first, and that order has
+    # to hold although only three of the row's 64 columns are planned.
+    n = 64
+    rng = np.random.default_rng(7)
+    demand = np.zeros((n, n))
+    for src in range(n):
+        dsts = rng.choice(np.delete(np.arange(n), src),
+                          int(rng.integers(1, 5)), replace=False)
+        demand[src, dsts] = rng.integers(1, 5, len(dsts))
+    demand[7] = 0.0
+    demand[7, [32, 38, 48]] = [16.0, 38.0, 202.0]
+    fabric = ReconfigurableFabric(n_switches=4, radix=n,
+                                  wavelengths_per_port=8)
+    twin = ReconfigurableFabric(n_switches=4, radix=n,
+                                wavelengths_per_port=8)
+    fabric.reconfigure(demand)
+    oracle.reconfigure(twin, demand)
+    assert_same_bank(fabric, twin)
+    assert 7 in grant_orders[-1]["tied"]
+
+
+@given(demand=demands())
+@settings(max_examples=50, deadline=None)
+def test_batched_row_sums_equal_each_row_sum(demand):
+    # The planner takes every source's total from one demand.sum(axis=1)
+    # where the one-row scheduler took row.sum(); shares match only if
+    # the two agree bit for bit.
+    each = np.array([row.sum() for row in demand])
+    assert demand.sum(axis=1).tobytes() == each.tobytes()
+
+
+def test_fortran_ordered_demand_plans_from_exact_row_sums(grant_orders):
+    # Summed along axis 1, a Fortran-ordered array accumulates column by
+    # column instead of pairwise along each row, so the planner must
+    # sum a C-ordered copy.
+    rng = np.random.default_rng(3)
+    demand = np.asfortranarray(rng.random((120, 120)) * 1e3)
+    np.testing.assert_array_equal(schedule_demand(demand, 16),
+                                  oracle.schedule_demand(demand, 16))
+    seen = grant_orders[-1]
+    each = np.array([row.sum() for row in seen["demand"]])
+    assert seen["totals"].tobytes() == each.tobytes()
 
 
 def test_rack_mix_bank_matches_oracle_across_plane_events():

@@ -3,9 +3,10 @@
 ``schedule_demand`` walks each source row's sorted destinations and
 grants one wavelength at a time; ``reconfigure`` plans a
 :class:`~repro.network.reconfig.ReconfigurableFabric`'s switches one
-after another with it. Both are the implementations the (S, N)
-masked-take scheduler in :mod:`repro.network.reconfig` replaced, kept
-verbatim as its bit-identity oracle.
+after another with it. Both are kept verbatim as the bit-identity
+oracle of the sparse-row scheduler in :mod:`repro.network.reconfig`,
+which plans every switch at once and each source over its
+positive-demand columns only.
 """
 
 from __future__ import annotations

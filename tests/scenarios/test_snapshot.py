@@ -8,6 +8,11 @@ are pushed through the result cache's JSON encoding first, exactly as
 the sharded runner stores them.
 """
 
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.experiments.cache import decode_metrics, encode_metrics
@@ -19,6 +24,7 @@ from repro.scenarios import (
 )
 
 N_NODES = 10
+RACKMIX = Path(__file__).resolve().parents[2] / "perfbench" / "rackmix.py"
 
 
 def json_round_trip(snapshot: dict) -> dict:
@@ -103,3 +109,31 @@ class TestBackendSnapshotRoundTrip:
         snap = backend_under_test(other).snapshot()
         with pytest.raises(ValueError, match="backend"):
             backend_under_test(name, **params).restore(snap)
+
+
+def test_rack_wss_snapshot_is_compact_and_restores_the_bank():
+    # One rack_mix epoch on the paper's 350-MCM rack plans five
+    # 350 x 350 switch assignments. As nested JSON lists they took
+    # 1.8 MB; as typed envelopes they must fit in 64 KB.
+    spec = importlib.util.spec_from_file_location("rackmix", RACKMIX)
+    rackmix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rackmix)
+    scenario = Scenario.from_config(rackmix.rack_mix(350, 1))
+    backend = make_backend("wss", 350)
+    backend.step(scenario.flow_batch_at(0))
+    encoded = json.dumps(backend.snapshot())
+    assert len(encoded) < 64 * 1024
+    restored = make_backend("wss", 350)
+    restored.restore(json.loads(encoded))
+    assert len(restored.fabric.configs) == len(backend.fabric.configs)
+    for cfg, twin in zip(restored.fabric.configs, backend.fabric.configs):
+        assert cfg.assignment.dtype == np.int64
+        assert cfg.assignment.flags.writeable
+        np.testing.assert_array_equal(cfg.assignment, twin.assignment)
+    assert restored.snapshot() == backend.snapshot()
+
+
+def test_wss_snapshot_of_another_radix_rejected():
+    snapshot = json_round_trip(make_backend("wss", 6).snapshot())
+    with pytest.raises(ValueError, match="shape"):
+        make_backend("wss", 8).restore(snapshot)
