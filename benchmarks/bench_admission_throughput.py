@@ -9,9 +9,9 @@ Two recorded baselines in one file:
   ``offer_batch`` hot path.
 * **epoch loop** (PR 8) — flows/second through the *full* scenario
   epoch loop (generation → admission → expiry → report) per fabric
-  backend, object path (``list[Flow]`` into the per-flow reference
-  loops) vs batch path (``FlowBatch`` end to end), with a
-  generation/step stage breakdown.
+  backend, object path (the epoch's flows as ``Flow`` objects into
+  the per-flow reference loops) vs batch path (``FlowBatch`` end to
+  end), with a generation/step stage breakdown.
 
 The per-flow side of each comparison is the scalar oracle the twin
 tests use (``tests/oracles/``); production runs only the vectorized
@@ -74,13 +74,13 @@ EPOCH_FLOORS = {"awgr": 1.0, "electronic": 1.0, "wss": 0.9}
 
 def _build_batches(n_nodes: int, flows_per_slot: int, n_slots: int,
                    seed: int = 42):
-    from repro.network.traffic import uniform_traffic
+    from repro.network.traffic import uniform_batch
 
     rng = np.random.default_rng(seed)
     # 3 Gbps < one 25/8 Gbps sub-slot: single-slot flows, so the
     # measured quantity is pure admission overhead, not multi-slot
     # packing.
-    return [uniform_traffic(n_nodes, flows_per_slot, gbps=3.0, rng=rng)
+    return [uniform_batch(n_nodes, flows_per_slot, gbps=3.0, rng=rng)
             for _ in range(n_slots)]
 
 
@@ -99,7 +99,7 @@ def _time_path(n_nodes: int, batches, batched: bool,
             n_nodes=n_nodes, planes=5, flows_per_wavelength=8,
             track_state=False, rng_seed=1)
         t0 = time.perf_counter()
-        result = sim.run([list(b) for b in batches], duration_slots=2)
+        result = sim.run(batches, duration_slots=2)
         best = min(best, time.perf_counter() - t0)
         report = result.as_dict()
     return best, report
@@ -166,10 +166,12 @@ def _time_epoch_loop(backend_name: str, n_nodes: int, n_epochs: int,
     """Best-of-``repeats`` full epoch loop for one backend/path.
 
     Returns (total_s, generation_s, step_s, epoch report dicts) from
-    the best run. The object path generates ``list[Flow]`` and steps
-    the per-flow oracle; the batch path generates a ``FlowBatch`` and
-    steps the registered backend — generation → admission → expiry →
-    report, exactly what ``ScenarioRunner`` executes per epoch.
+    the best run. Both paths generate each epoch's ``FlowBatch``. The
+    object path steps the per-flow oracle, which views the batch as
+    ``Flow`` objects, so building them counts in its step stage; the
+    batch path steps the registered backend — generation → admission
+    → expiry → report, exactly what ``ScenarioRunner`` executes per
+    epoch.
     """
     from repro.scenarios.backends import make_backend
     from tests.oracles.backends import scalar_twin
@@ -187,10 +189,7 @@ def _time_epoch_loop(backend_name: str, n_nodes: int, n_epochs: int,
         t0 = time.perf_counter()
         for epoch in range(n_epochs):
             g0 = time.perf_counter()
-            if batched:
-                flows = scenario.flow_batch_at(epoch, base_seed=7)
-            else:
-                flows = scenario.batch_at(epoch, base_seed=7)
+            flows = scenario.flow_batch_at(epoch, base_seed=7)
             g1 = time.perf_counter()
             stream.append(backend.step(flows))
             gen_s += g1 - g0

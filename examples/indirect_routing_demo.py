@@ -9,9 +9,11 @@ show the second-intermediate fallback absorbing staleness.
 Run:  python examples/indirect_routing_demo.py
 """
 
+import numpy as np
+
 from repro.analysis.report import render_table
 from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import Flow, uniform_traffic
+from repro.network.traffic import FlowBatch, uniform_batch
 
 
 def run_one(update_period: int, seed: int = 3) -> dict:
@@ -19,12 +21,12 @@ def run_one(update_period: int, seed: int = 3) -> dict:
                                flows_per_wavelength=1,
                                state_update_period=update_period,
                                rng_seed=seed)
-    batches = []
-    for _ in range(8):
-        background = uniform_traffic(24, 12, gbps=25.0)
-        hotspot = [Flow(src, 0, gbps=25.0)
-                   for src in (1, 2, 3, 4) for _ in range(3)]
-        batches.append(background + hotspot)
+    # Four senders, three 25 Gbps flows each, converge on node 0.
+    senders = np.repeat([1, 2, 3, 4], 3)
+    hotspot = FlowBatch(src=senders, dst=np.zeros_like(senders),
+                        gbps=np.full(len(senders), 25.0))
+    batches = [FlowBatch.concat([uniform_batch(24, 12, gbps=25.0),
+                                 hotspot]) for _ in range(8)]
     report = sim.run(batches, duration_slots=2)
     return {"update_period": update_period, **report.as_dict()}
 

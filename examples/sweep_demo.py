@@ -26,7 +26,7 @@ from repro.experiments import (
     get_experiment,
 )
 from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import uniform_traffic
+from repro.network.traffic import uniform_batch
 
 
 def seeded_hotspot_task(config, seed):
@@ -39,7 +39,7 @@ def seeded_hotspot_task(config, seed):
         n_nodes=16, planes=config["planes"], flows_per_wavelength=1,
         state_update_period=config["update_period"], rng_seed=seed)
     rng = np.random.default_rng(seed)
-    batches = [uniform_traffic(16, config["flows_per_slot"], rng=rng)
+    batches = [uniform_batch(16, config["flows_per_slot"], rng=rng)
                for _ in range(8)]
     return sim.run(batches, duration_slots=2)
 

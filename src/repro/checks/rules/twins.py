@@ -37,7 +37,6 @@ from repro.checks.rules import ProjectRule, register_project
 
 #: vectorized entry point -> its scalar oracle.
 TWIN_ORACLES = {
-    "batch_step": "step",
     "offer_batch": "offer",
     "route_tokens": "route_flow",
     "generate_batch": "generate",

@@ -18,9 +18,12 @@ import numpy as np
 
 from repro.core.allocation import JobRequest
 from repro.network.simulator import AWGRNetworkSimulator, SimulationReport
-from repro.network.traffic import Flow
+from repro.network.traffic import FlowBatch
 from repro.rack.chips import ChipType
 from repro.rack.mcm import MCMPacking, pack_rack
+
+#: Kinds of the flows :meth:`PlacementEngine.flows_for` derives.
+FLOW_KINDS = ("cpu-mem", "cpu-nic", "gpu-hbm")
 
 
 @dataclass
@@ -181,7 +184,7 @@ class PlacementEngine:
     def flows_for(self, placement: JobPlacement,
                   mem_gbps_per_cpu: float = 25.0,
                   hbm_gbyte_s_per_gpu: float = 1555.2,
-                  nic_gbps_per_link: float = 25.0) -> list[Flow]:
+                  nic_gbps_per_link: float = 25.0) -> FlowBatch:
         """Derive the placement's steady inter-MCM flow set.
 
         CPU MCMs stream to the job's DDR4 MCMs (demand split evenly),
@@ -189,7 +192,7 @@ class PlacementEngine:
         MCMs exchange with NIC MCMs. Intra-MCM traffic (same module)
         generates no fabric flow.
         """
-        flows: list[Flow] = []
+        flows: list[tuple[int, int, float, str]] = []
         cpu_mcms = list(placement.cpus)
         ddr_mcms = list(placement.ddr4)
         nic_mcms = list(placement.nics)
@@ -201,15 +204,14 @@ class PlacementEngine:
             for cpu in cpu_mcms:
                 for ddr in ddr_mcms:
                     if cpu != ddr and per_pair > 0:
-                        flows.append(Flow(cpu, ddr,
-                                          max(per_pair, 0.01),
-                                          kind="cpu-mem"))
+                        flows.append((cpu, ddr, max(per_pair, 0.01),
+                                      "cpu-mem"))
         if cpu_mcms and nic_mcms:
             for cpu in cpu_mcms:
                 for nic in nic_mcms:
                     if cpu != nic:
-                        flows.append(Flow(cpu, nic, nic_gbps_per_link,
-                                          kind="cpu-nic"))
+                        flows.append((cpu, nic, nic_gbps_per_link,
+                                      "cpu-nic"))
         if gpu_mcms and hbm_mcms:
             # Each GPU MCM streams to the job's HBM MCMs proportionally
             # to the *stacks hosted there*: an HBM MCM's inflow is then
@@ -221,21 +223,23 @@ class PlacementEngine:
                 for hbm, stacks in placement.hbm.items():
                     share = gpu_gbps * stacks / total_stacks
                     if gpu_mcm != hbm and share > 0:
-                        flows.append(Flow(gpu_mcm, hbm, share,
-                                          kind="gpu-hbm"))
-        return flows
+                        flows.append((gpu_mcm, hbm, share, "gpu-hbm"))
+        src, dst, gbps, kinds = zip(*flows) if flows else ((),) * 4
+        return FlowBatch(src=src, dst=dst, gbps=gbps,
+                         kinds=list(FLOW_KINDS),
+                         kind_codes=[FLOW_KINDS.index(k) for k in kinds])
 
     def validate_bandwidth(self, jobs: list[JobRequest],
                            planes: int = 6,
                            flows_per_wavelength: int = 64,
                            gbps_per_wavelength: float = 25.0,
-                           ) -> tuple[SimulationReport, list[Flow]]:
+                           ) -> tuple[SimulationReport, FlowBatch]:
         """Place a job set and offer its flows to the AWGR fabric.
 
         Large GPU-HBM flows are striped into wavelength-sized pieces
         before admission (as a real transport would), then carried
         through direct + indirect wavelengths. Returns the simulator's
-        report plus the derived flow list.
+        report plus the derived (unstriped) flows.
 
         ``planes`` defaults to 6: the design's five full AWGR planes
         plus the partial sixth (approximated as full, 52.5 vs the true
@@ -244,29 +248,36 @@ class PlacementEngine:
         native 49.8 Tbps — the quantitative reason the paper's design
         carries the leftover wavelengths into a sixth AWGR.
         """
-        all_flows: list[Flow] = []
+        job_flows: list[FlowBatch] = []
         placed: list[str] = []
         try:
             for request in jobs:
                 placement = self.place(request)
                 placed.append(request.job_id)
-                all_flows.extend(self.flows_for(placement))
+                job_flows.append(self.flows_for(placement))
         finally:
             for job_id in placed:
                 self.unplace(job_id)
+        flows = FlowBatch.concat(job_flows)
 
         sim = AWGRNetworkSimulator(
             n_nodes=self.directory.n_mcms, planes=planes,
             flows_per_wavelength=flows_per_wavelength,
             gbps_per_wavelength=gbps_per_wavelength,
             track_state=False)  # rack-scale: perfect-info feasibility
-        striped: list[Flow] = []
-        for flow in all_flows:
-            remaining = flow.gbps
+        # Stripe each flow, in order, into wavelength-sized pieces by
+        # repeated subtraction; its last piece takes the remainder.
+        owner: list[int] = []
+        pieces: list[float] = []
+        for i, remaining in enumerate(flows.gbps.tolist()):
             while remaining > 0:
                 piece = min(remaining, gbps_per_wavelength)
-                striped.append(Flow(flow.src, flow.dst, piece,
-                                    kind=flow.kind))
+                owner.append(i)
+                pieces.append(piece)
                 remaining -= piece
+        take = np.asarray(owner, dtype=np.int64)
+        striped = FlowBatch(src=flows.src[take], dst=flows.dst[take],
+                            gbps=pieces, kinds=flows.kinds,
+                            kind_codes=flows.kind_codes[take])
         report = sim.run([striped], duration_slots=1)
-        return report, all_flows
+        return report, flows

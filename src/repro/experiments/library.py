@@ -10,13 +10,15 @@ processes.
 These registered sweeps are deterministic *replays*: their RNG inputs
 are pinned in the config (``rng_seed`` etc.), so the engine-derived
 ``seed`` argument — and therefore ``ExperimentSpec.base_seed`` — does
-not change their results, only their cache identity. The AWGR
-simulations ride the vectorized batch admission of
-``AWGRNetworkSimulator.run``, which is bit-identical to the
-historical per-flow loop, so previously cached metrics replay
-unchanged. For resampling
-studies, write a factory that consumes ``seed`` (see
-``examples/sweep_demo.py``) instead of pinning seeds in config.
+not change their results, only their cache identity. The flow-level
+tasks build each slot's traffic as one
+:class:`~repro.network.traffic.FlowBatch` (generator batches joined
+with small hand-built arrays by ``FlowBatch.concat``) and hand the
+slots to the simulators' ``run``, whose vectorized admission is
+bit-identical to the historical per-flow loop, so previously cached
+metrics replay unchanged. For resampling studies, write a factory
+that consumes ``seed`` (see ``examples/sweep_demo.py``) instead of
+pinning seeds in config.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.core.latency import SENSITIVITY_POINTS_NS
 from repro.experiments.spec import ExperimentSpec
 from repro.network.simulator import AWGRNetworkSimulator, SimulationReport
-from repro.network.traffic import Flow, uniform_traffic
+from repro.network.traffic import FlowBatch, uniform_batch
 
 
 def report_metrics(report: SimulationReport) -> dict:
@@ -37,6 +39,14 @@ def report_metrics(report: SimulationReport) -> dict:
 def identity_metrics(result: dict) -> dict:
     """For factories that already produce a flat metrics dict."""
     return result
+
+
+def _converging(dst: int, senders) -> FlowBatch:
+    """One 25 Gbps flow from each of ``senders`` (repeats allowed), in
+    order, to ``dst``."""
+    src = np.asarray(senders, dtype=np.int64)
+    return FlowBatch(src=src, dst=np.full(len(src), dst, dtype=np.int64),
+                     gbps=np.full(len(src), 25.0))
 
 
 # -- hotspot + staleness studies (§IV / §IV-A) -------------------------------
@@ -54,14 +64,12 @@ def hotspot_staleness_task(config: dict, seed: int) -> SimulationReport:
         flows_per_wavelength=1,
         state_update_period=config["update_period"],
         rng_seed=config["rng_seed"])
-    batches = []
-    for _ in range(config["n_batches"]):
-        batch = uniform_traffic(config["n_nodes"],
-                                config["uniform_flows"], gbps=25.0)
-        batch += [Flow(src, 0, gbps=25.0)
-                  for src in (1, 2, 3)
-                  for _ in range(config["hotspot_repeats"])]
-        batches.append(batch)
+    hotspot = _converging(0, np.repeat([1, 2, 3],
+                                       config["hotspot_repeats"]))
+    batches = [FlowBatch.concat([
+        uniform_batch(config["n_nodes"], config["uniform_flows"],
+                      gbps=25.0),
+        hotspot]) for _ in range(config["n_batches"])]
     return sim.run(batches, duration_slots=config["duration_slots"])
 
 
@@ -93,9 +101,7 @@ def awgr_planes_task(config: dict, seed: int) -> SimulationReport:
     sim = AWGRNetworkSimulator(
         n_nodes=config["n_nodes"], planes=config["planes"],
         flows_per_wavelength=1, rng_seed=config["rng_seed"])
-    batch = [Flow(src, 0, gbps=25.0)
-             for src in (1, 2, 3, 4)
-             for _ in range(config["hotspot_flows"])]
+    batch = _converging(0, np.repeat([1, 2, 3, 4], config["hotspot_flows"]))
     return sim.run([batch], duration_slots=config["duration_slots"])
 
 
@@ -116,12 +122,10 @@ def plane_failure_task(config: dict, seed: int) -> SimulationReport:
         flows_per_wavelength=1, rng_seed=config["rng_seed"])
     for plane in range(config["failed_planes"]):
         sim.allocator.fail_plane(plane)
-    batches = []
-    for _ in range(config["n_batches"]):
-        batch = uniform_traffic(config["n_nodes"],
-                                config["uniform_flows"], gbps=25.0)
-        batch += [Flow(src, 0, gbps=25.0) for src in (1, 2, 3)]
-        batches.append(batch)
+    batches = [FlowBatch.concat([
+        uniform_batch(config["n_nodes"], config["uniform_flows"],
+                      gbps=25.0),
+        _converging(0, [1, 2, 3])]) for _ in range(config["n_batches"])]
     return sim.run(batches, duration_slots=config["duration_slots"])
 
 
@@ -375,16 +379,16 @@ PLACEMENT_BANDWIDTH = ExperimentSpec(
 # -- case (A) AWGR vs case (B) WSS (§VI-A) -----------------------------------
 
 def shifting_batches(n_nodes: int, n_slots: int, seed: int
-                     ) -> list[list[Flow]]:
+                     ) -> list[FlowBatch]:
     """Uniform background plus a hotspot that moves every slot."""
     rng = np.random.default_rng(seed)
     batches = []
     for _ in range(n_slots):
-        batch = uniform_traffic(n_nodes, 10, gbps=25.0, rng=rng)
+        background = uniform_batch(n_nodes, 10, gbps=25.0, rng=rng)
         hot = int(rng.integers(n_nodes))  # hotspot moves every slot
-        batch += [Flow(src, hot, gbps=25.0)
-                  for src in range(n_nodes) if src != hot][:6]
-        batches.append(batch)
+        senders = [src for src in range(n_nodes) if src != hot][:6]
+        batches.append(FlowBatch.concat([background,
+                                         _converging(hot, senders)]))
     return batches
 
 
@@ -396,7 +400,7 @@ def case_fabric_task(config: dict, seed: int) -> dict:
         sim = AWGRNetworkSimulator(
             n_nodes=config["n_nodes"], planes=5,
             flows_per_wavelength=1, rng_seed=config["traffic_seed"])
-        report = sim.run([list(b) for b in batches], duration_slots=1)
+        report = sim.run(batches, duration_slots=1)
         return {"fabric": "case A: AWGR + indirect routing",
                 "throughput_ratio": report.throughput_ratio,
                 "reconfigurations": 0,
@@ -407,7 +411,7 @@ def case_fabric_task(config: dict, seed: int) -> dict:
     wss = WSSNetworkSimulator(n_nodes=config["n_nodes"], n_switches=5,
                               wavelengths_per_port=16,
                               reconfig_period=2, slot_time_s=1.0)
-    report = wss.run([list(b) for b in batches])
+    report = wss.run(batches)
     return {"fabric": "case B: WSS + central scheduler",
             "throughput_ratio": report.throughput_ratio,
             "reconfigurations": report.reconfigurations,

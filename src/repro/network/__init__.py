@@ -13,15 +13,10 @@ from repro.network.routing import (
     RouteKind,
 )
 from repro.network.traffic import (
-    Flow,
     FlowBatch,
-    uniform_traffic,
     uniform_batch,
-    hotspot_traffic,
     hotspot_batch,
-    cpu_memory_traffic,
     cpu_memory_batch,
-    gpu_allreduce_traffic,
     gpu_allreduce_batch,
 )
 from repro.network.simulator import (
@@ -52,11 +47,8 @@ from repro.network.wss_simulator import (
 __all__ = [
     "WavelengthAllocator", "OccupancyBoard", "PiggybackState",
     "IndirectRouter", "RouteKind",
-    "Flow", "FlowBatch",
-    "uniform_traffic", "uniform_batch",
-    "hotspot_traffic", "hotspot_batch",
-    "cpu_memory_traffic", "cpu_memory_batch",
-    "gpu_allreduce_traffic", "gpu_allreduce_batch",
+    "FlowBatch", "uniform_batch", "hotspot_batch", "cpu_memory_batch",
+    "gpu_allreduce_batch",
     "AWGRNetworkSimulator", "BatchDecisions", "SimulationReport",
     "ElectronicSwitch", "ELECTRONIC_CATALOG",
     "electronic_disaggregation_latency_ns",

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from repro.network.routing import (
     RouteKind,
 )
 from repro.network.state import PiggybackState
-from repro.network.traffic import Flow, FlowBatch
+from repro.network.traffic import FlowBatch
 from repro.network.wavelength import WavelengthAllocator
 
 
@@ -474,17 +475,15 @@ class AWGRNetworkSimulator:
 
     # -- batch experiment ------------------------------------------------------------
 
-    def run(self, flow_batches: list[list[Flow]],
+    def run(self, flow_batches: Sequence[FlowBatch],
             duration_slots: int = 4) -> SimulationReport:
-        """Offer one batch of flows per slot and aggregate statistics.
+        """Offer one batch per slot and aggregate statistics.
 
-        Each slot's flows become one :class:`FlowBatch` here, at the
-        boundary, and are admitted with :meth:`offer_batch`.
+        Each slot's batch is admitted with :meth:`offer_batch`.
         """
         report = SimulationReport()
         histogram = report.hop_histogram
-        for flows in flow_batches:
-            batch = FlowBatch.from_flows(flows)
+        for batch in flow_batches:
             decisions = self.offer_batch(batch, duration_slots)
             carried = decisions.carried_mask
             report.offered += len(batch)

@@ -5,23 +5,19 @@ analysis reasons about (§VI-A): CPU <-> DDR4 and NIC <-> memory flows
 sized from production profiles, GPU <-> HBM streams at near-line-rate,
 and GPU <-> GPU collective traffic that replaces NVLink.
 
-Two representations of the same traffic:
+Traffic has one form, :class:`FlowBatch`: structure-of-arrays
+(``src``/``dst``/``gbps`` numpy arrays plus an interned kind table).
+The generators sample it with vectorized draws, every fabric reads its
+arrays, and hand-built traffic is
+``FlowBatch(src=[...], dst=[...], gbps=[...])``.
 
-* :class:`Flow` — one Python object per flow. The readable form for
-  hand-built traffic, the ``list[Flow]`` slots the simulators'
-  ``run`` loops take, and the per-flow test oracles.
-* :class:`FlowBatch` — structure-of-arrays (``src``/``dst``/``gbps``
-  numpy arrays plus an interned kind table). The form every fabric
-  consumes: the generators sample it directly with vectorized draws,
-  and admission reads its arrays without materializing objects.
-
-The two are bit-exact views of each other: every ``*_batch`` generator
-consumes the RNG in exactly the order of the historical per-flow loop
-(``rng.integers(0, high_array)`` with a broadcast bound array draws
-the same Lemire-bounded stream as the equivalent sequence of scalar
-calls, including the 32-bit half-word buffer), so
-``uniform_traffic(...)`` == ``uniform_batch(...).to_flows()`` for any
-seed, and both leave the generator in the same state.
+Every ``*_batch`` generator consumes the RNG in exactly the order of
+the historical per-flow loop (``rng.integers(0, high_array)`` with a
+broadcast bound array draws the same Lemire-bounded stream as the
+equivalent sequence of scalar calls, including the 32-bit half-word
+buffer), so for any seed a generator yields the flows the per-flow
+loop drew and leaves the generator in the same state. Those loops are
+kept, as the oracles of that identity, in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -44,36 +40,6 @@ def as_generator(rng: SeedLike) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One steady flow between two endpoints.
-
-    Parameters
-    ----------
-    src, dst:
-        Endpoint indices in the simulated fabric.
-    gbps:
-        Offered load.
-    kind:
-        Free-form label ("cpu-mem", "gpu-hbm", ...), used in reports.
-    """
-
-    src: int
-    dst: int
-    gbps: float
-    kind: str = "generic"
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError("flow endpoints must differ")
-        if self.gbps <= 0:
-            raise ValueError("flow bandwidth must be positive")
-
-    def slots(self, gbps_per_slot: float) -> int:
-        """Sub-slots this flow needs at a given slot granularity."""
-        return max(1, int(np.ceil(self.gbps / gbps_per_slot)))
-
-
 @dataclass
 class FlowBatch:
     """A set of flows as structure-of-arrays.
@@ -84,11 +50,10 @@ class FlowBatch:
     flow. All four arrays have one entry per flow (``kinds`` is the
     intern table, typically length 1 per generator).
 
-    Batches are the native currency of the pipeline: generators emit
-    them, ``offer_batch``/backend ``step`` consume them, and
-    :meth:`to_dict`/:meth:`from_dict` give the JSON-stable form
-    snapshots carry. :meth:`to_flows` (or iteration) is the view for
-    per-flow consumers; :meth:`from_flows` wraps hand-built flows.
+    Batches are the one form traffic takes: generators emit them,
+    the simulators' ``run``, ``offer_batch`` and every backend's
+    ``step`` consume them, and :meth:`concat` joins them in order.
+    A batch is not iterable; code reads its arrays.
     """
 
     src: np.ndarray
@@ -111,6 +76,8 @@ class FlowBatch:
             raise ValueError("batch arrays must share one length")
         if n and np.any(self.src == self.dst):
             raise ValueError("flow endpoints must differ")
+        if n and not np.all(np.isfinite(self.gbps)):
+            raise ValueError("flow bandwidth must be finite")
         if n and np.any(self.gbps <= 0):
             raise ValueError("flow bandwidth must be positive")
         if not self.kinds:
@@ -122,65 +89,15 @@ class FlowBatch:
     def __len__(self) -> int:
         return len(self.src)
 
-    def __iter__(self):
-        return iter(self.to_flows())
-
-    def kind_of(self, i: int) -> str:
-        """Kind label of flow ``i``."""
-        return self.kinds[int(self.kind_codes[i])]
-
-    def flow_at(self, i: int) -> Flow:
-        """Materialize flow ``i`` as a scalar :class:`Flow`."""
-        return Flow(int(self.src[i]), int(self.dst[i]),
-                    float(self.gbps[i]), self.kind_of(i))
-
-    def to_flows(self) -> list[Flow]:
-        """Compatibility view: the same flows as Python objects."""
-        src = self.src.tolist()
-        dst = self.dst.tolist()
-        gbps = self.gbps.tolist()
-        codes = self.kind_codes.tolist()
-        kinds = self.kinds
-        return [Flow(s, d, g, kinds[c])
-                for s, d, g, c in zip(src, dst, gbps, codes)]
-
     def slots(self, gbps_per_slot: float) -> np.ndarray:
         """Per-flow sub-slot demand at a given slot granularity.
 
-        Vectorized twin of :meth:`Flow.slots` — identical to calling
-        it per flow (same ceil-then-floor-at-one semantics, including
-        fractional ``gbps_per_slot``).
+        Ceil of ``gbps / gbps_per_slot``, at least one, per flow
+        (fractional ``gbps_per_slot`` included).
         """
         slots = np.ceil(self.gbps / gbps_per_slot).astype(np.int64)
         np.maximum(slots, 1, out=slots)
         return slots
-
-    def to_dict(self) -> dict:
-        """JSON-stable form (round-trips exactly via :meth:`from_dict`).
-
-        ``gbps`` floats survive json encode/decode bit-exactly:
-        ``tolist`` yields Python floats and json round-trips those via
-        repr, so no precision is shed.
-        """
-        return {
-            "src": self.src.tolist(),
-            "dst": self.dst.tolist(),
-            "gbps": self.gbps.tolist(),
-            "kinds": list(self.kinds),
-            "kind_codes": self.kind_codes.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FlowBatch":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dicts)."""
-        return cls(
-            src=np.asarray(payload["src"], dtype=np.int64),
-            dst=np.asarray(payload["dst"], dtype=np.int64),
-            gbps=np.asarray(payload["gbps"], dtype=np.float64),
-            kinds=[str(k) for k in payload["kinds"]],
-            kind_codes=np.asarray(payload["kind_codes"],
-                                  dtype=np.int64),
-        )
 
     @classmethod
     def empty(cls, kind: str = "generic") -> "FlowBatch":
@@ -188,32 +105,6 @@ class FlowBatch:
         z = np.zeros(0, dtype=np.int64)
         return cls(src=z, dst=z.copy(), gbps=np.zeros(0),
                    kinds=[kind], kind_codes=z.copy())
-
-    @classmethod
-    def from_flows(cls, flows) -> "FlowBatch":
-        """Build a batch from scalar flows (or pass one through)."""
-        if isinstance(flows, FlowBatch):
-            return flows
-        flows = list(flows)
-        if not flows:
-            return cls.empty()
-        kinds: list[str] = []
-        intern: dict[str, int] = {}
-        codes = np.empty(len(flows), dtype=np.int64)
-        for i, f in enumerate(flows):
-            code = intern.get(f.kind)
-            if code is None:
-                code = intern[f.kind] = len(kinds)
-                kinds.append(f.kind)
-            codes[i] = code
-        return cls(
-            src=np.fromiter((f.src for f in flows), dtype=np.int64,
-                            count=len(flows)),
-            dst=np.fromiter((f.dst for f in flows), dtype=np.int64,
-                            count=len(flows)),
-            gbps=np.fromiter((f.gbps for f in flows),
-                             dtype=np.float64, count=len(flows)),
-            kinds=kinds, kind_codes=codes)
 
     @classmethod
     def concat(cls, batches) -> "FlowBatch":
@@ -241,7 +132,7 @@ class FlowBatch:
                    kinds=kinds, kind_codes=np.concatenate(codes))
 
 
-# -- generators (batch-native; the list forms are thin views) -----------------
+# -- generators ---------------------------------------------------------------
 
 
 def uniform_batch(n_nodes: int, n_flows: int, gbps: float = 25.0,
@@ -266,12 +157,6 @@ def uniform_batch(n_nodes: int, n_flows: int, gbps: float = 25.0,
                      kinds=["uniform"])
 
 
-def uniform_traffic(n_nodes: int, n_flows: int, gbps: float = 25.0,
-                    rng: SeedLike = None) -> list[Flow]:
-    """Uniform-random pairs, fixed per-flow load."""
-    return uniform_batch(n_nodes, n_flows, gbps, rng).to_flows()
-
-
 def hotspot_batch(n_nodes: int, hotspot: int, n_flows: int,
                   gbps: float = 25.0,
                   rng: SeedLike = None) -> FlowBatch:
@@ -288,19 +173,9 @@ def hotspot_batch(n_nodes: int, hotspot: int, n_flows: int,
                      kinds=["hotspot"])
 
 
-def hotspot_traffic(n_nodes: int, hotspot: int, n_flows: int,
-                    gbps: float = 25.0,
-                    rng: SeedLike = None) -> list[Flow]:
-    """Many sources converge on one destination."""
-    return hotspot_batch(n_nodes, hotspot, n_flows, gbps,
-                         rng).to_flows()
-
-
 def cpu_memory_batch(cpu_nodes: list[int], memory_nodes: list[int],
                      demand_gbps: np.ndarray | None = None,
-                     rng: SeedLike = None,
-                     p99_gbps: float = 125.0,
-                     median_gbps: float = 3.7) -> FlowBatch:
+                     rng: SeedLike = None) -> FlowBatch:
     """CPU <-> DDR4 flows with a production-like heavy-tailed demand.
 
     §VI-A: on Cori, 25 Gbps covers CPU-memory demand 97% of the time
@@ -328,16 +203,6 @@ def cpu_memory_batch(cpu_nodes: list[int], memory_nodes: list[int],
                      gbps=gbps, kinds=["cpu-mem"])
 
 
-def cpu_memory_traffic(cpu_nodes: list[int], memory_nodes: list[int],
-                       demand_gbps: np.ndarray | None = None,
-                       rng: SeedLike = None,
-                       p99_gbps: float = 125.0,
-                       median_gbps: float = 3.7) -> list[Flow]:
-    """CPU <-> DDR4 flows with a production-like heavy-tailed demand."""
-    return cpu_memory_batch(cpu_nodes, memory_nodes, demand_gbps,
-                            rng, p99_gbps, median_gbps).to_flows()
-
-
 def gpu_allreduce_batch(gpu_nodes: list[int], gbps_per_pair: float,
                         ) -> FlowBatch:
     """Ring-style GPU <-> GPU collective: node i sends to node i+1.
@@ -352,29 +217,3 @@ def gpu_allreduce_batch(gpu_nodes: list[int], gbps_per_pair: float,
     return FlowBatch(src=src, dst=np.roll(src, -1),
                      gbps=np.full(len(src), float(gbps_per_pair)),
                      kinds=["gpu-gpu"])
-
-
-def gpu_allreduce_traffic(gpu_nodes: list[int], gbps_per_pair: float,
-                          ) -> list[Flow]:
-    """Ring-style GPU <-> GPU collective: node i sends to node i+1."""
-    return gpu_allreduce_batch(gpu_nodes, gbps_per_pair).to_flows()
-
-
-def gpu_hbm_batch(gpu_nodes: list[int], hbm_nodes: list[int],
-                  gbyte_s_per_gpu: float = 1555.2) -> FlowBatch:
-    """GPU <-> HBM streaming at native HBM bandwidth."""
-    if not gpu_nodes or not hbm_nodes:
-        raise ValueError("need GPU and HBM nodes")
-    hbms = np.asarray(hbm_nodes, dtype=np.int64)
-    n = len(gpu_nodes)
-    return FlowBatch(src=np.asarray(gpu_nodes, dtype=np.int64),
-                     dst=hbms[np.arange(n) % len(hbms)],
-                     gbps=np.full(n, gbyte_s_per_gpu * 8.0),
-                     kinds=["gpu-hbm"])
-
-
-def gpu_hbm_traffic(gpu_nodes: list[int], hbm_nodes: list[int],
-                    gbyte_s_per_gpu: float = 1555.2) -> list[Flow]:
-    """GPU <-> HBM streaming at native HBM bandwidth."""
-    return gpu_hbm_batch(gpu_nodes, hbm_nodes,
-                         gbyte_s_per_gpu).to_flows()

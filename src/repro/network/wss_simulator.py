@@ -18,11 +18,12 @@ be benchmarked head-to-head on identical flow batches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.network.reconfig import ReconfigurableFabric
-from repro.network.traffic import Flow, FlowBatch
+from repro.network.traffic import FlowBatch
 
 
 @dataclass
@@ -132,16 +133,12 @@ class WSSNetworkSimulator:
         np.add.at(demand, (batch.src, batch.dst), batch.gbps)
         return demand
 
-    def run(self, flow_batches: list[list[Flow]]) -> WSSSimulationReport:
-        """Serve one batch per slot under periodic reconfiguration.
-
-        Each slot's flows become one :class:`FlowBatch` here, at the
-        boundary.
-        """
+    def run(self, flow_batches: Sequence[FlowBatch]
+            ) -> WSSSimulationReport:
+        """Serve one batch per slot under periodic reconfiguration."""
         report = WSSSimulationReport()
-        for flows in flow_batches:
-            demand = self.demand_matrix(FlowBatch.from_flows(flows),
-                                        self.n_nodes)
+        for batch in flow_batches:
+            demand = self.demand_matrix(batch, self.n_nodes)
             downtime_fraction = 0.0
             if self._slot % self.reconfig_period == 0:
                 self.fabric.reconfigure(demand)

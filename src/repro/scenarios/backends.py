@@ -154,10 +154,10 @@ class FabricBackend(Protocol):
     """Anything the scenario runner can drive through epochs.
 
     ``step`` takes one epoch's traffic as a
-    :class:`~repro.network.traffic.FlowBatch`, the form the runner and
-    service pool generate; hand-built ``Flow`` lists are wrapped with
-    :meth:`~repro.network.traffic.FlowBatch.from_flows`. Every
-    registered backend has a per-flow twin in
+    :class:`~repro.network.traffic.FlowBatch`, the one form traffic
+    takes, whether the runner generated it or it was built by hand
+    from ``src``/``dst``/``gbps`` arrays. Every registered backend has
+    a per-flow twin in
     ``tests/oracles/backends.py`` whose :class:`EpochReport` stream
     its vectorized ``step`` must match bit for bit.
     """

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.network.traffic import (
-    Flow,
     FlowBatch,
     cpu_memory_batch,
     gpu_allreduce_batch,
@@ -182,24 +181,14 @@ class Episode:
         return max(0.0, envelope_value(self.envelope, epoch - self.start,
                                        duration))
 
-    def generate(self, epoch: int, n_epochs: int, n_nodes: int,
-                 rng: np.random.Generator) -> list[Flow]:
-        """Emit this episode's flow batch for one epoch as objects.
-
-        Thin compatibility view over :meth:`generate_batch` — same
-        flows, same RNG consumption.
-        """
-        return self.generate_batch(epoch, n_epochs, n_nodes,
-                                   rng).to_flows()
-
     def generate_batch(self, epoch: int, n_epochs: int, n_nodes: int,
                        rng: np.random.Generator) -> FlowBatch:
         """Emit this episode's flow batch for one epoch.
 
-        The structure-of-arrays hot path: flows come back as a
-        :class:`~repro.network.traffic.FlowBatch` with no per-flow
-        Python objects, bit-identical (values and RNG stream) to what
-        the historical object-building loop produced.
+        Flows come back as a :class:`~repro.network.traffic.FlowBatch`
+        with no per-flow Python objects, bit-identical (values and RNG
+        stream) to the historical per-flow loops that
+        ``tests/oracles/episodes.py`` keeps as its oracle.
         """
         if not self.active(epoch):
             return FlowBatch.empty(self.kind)

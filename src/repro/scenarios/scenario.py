@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.network.traffic import Flow, FlowBatch
+from repro.network.traffic import FlowBatch
 from repro.scenarios.episodes import Episode
 
 
@@ -113,6 +113,18 @@ class Scenario:
             object.__setattr__(self, "episodes", tuple(self.episodes))
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
+        for index, episode in enumerate(self.episodes):
+            params = episode.params
+            named = [*(params.get("nodes") or ()),
+                     *(params.get("memory_nodes") or ())]
+            if "hotspot" in params:
+                named.append(params["hotspot"])
+            for node in named:
+                if not 0 <= int(node) < self.n_nodes:
+                    raise ValueError(
+                        f"episode {index} ({episode.kind}) names node "
+                        f"{node}, outside the rack's [0, "
+                        f"{self.n_nodes})")
 
     def with_epochs(self, n_epochs: int) -> "Scenario":
         """Same scenario on a shorter/longer clock (CLI override).
@@ -125,21 +137,15 @@ class Scenario:
         """Events scripted for the start of ``epoch``, in order."""
         return [e for e in self.events if e.epoch == epoch]
 
-    def batch(self, epoch: int, rng: np.random.Generator) -> list[Flow]:
-        """All active episodes' flows for one epoch, concatenated.
-
-        Draws from the caller's ``rng`` in place; :meth:`batch_at`
-        supplies the epoch's own counter-seeded generator.
-        Object-path compatibility view over :meth:`flow_batch` (same
-        flows, same RNG consumption).
-        """
-        return self.flow_batch(epoch, rng).to_flows()
-
     def flow_batch(self, epoch: int,
                    rng: np.random.Generator) -> FlowBatch:
-        """All active episodes' flows for one epoch as one
-        structure-of-arrays :class:`~repro.network.traffic.FlowBatch`
-        (the object-free hot path the runner feeds backends)."""
+        """All active episodes' flows for one epoch, concatenated into
+        one :class:`~repro.network.traffic.FlowBatch`.
+
+        Draws from the caller's ``rng`` in place;
+        :meth:`flow_batch_at` supplies the epoch's own counter-seeded
+        generator.
+        """
         return FlowBatch.concat([
             episode.generate_batch(epoch, self.n_epochs,
                                    self.n_nodes, rng)
@@ -151,31 +157,15 @@ class Scenario:
         return np.random.default_rng(
             derive_epoch_seed(self, epoch, base_seed))
 
-    def batch_at(self, epoch: int, base_seed: int = 0) -> list[Flow]:
+    def flow_batch_at(self, epoch: int,
+                      base_seed: int = 0) -> FlowBatch:
         """One epoch's flows under counter-based per-epoch seeding.
 
-        Independent of every other epoch: ``batch_at(k)`` is
+        Independent of every other epoch: ``flow_batch_at(k)`` is
         bit-identical whether or not any other epoch was generated,
         in this process or another.
         """
-        return self.batch(epoch, self.epoch_rng(epoch, base_seed))
-
-    def flow_batch_at(self, epoch: int,
-                      base_seed: int = 0) -> FlowBatch:
-        """One epoch's :class:`FlowBatch` under counter-based
-        per-epoch seeding (object-free twin of :meth:`batch_at`)."""
         return self.flow_batch(epoch, self.epoch_rng(epoch, base_seed))
-
-    def batches_range(self, start: int, stop: int,
-                      base_seed: int = 0) -> list[list[Flow]]:
-        """Epoch batches for ``[start, stop)`` under per-epoch seeds —
-        the unit of work one scenario shard generates."""
-        if not 0 <= start <= stop <= self.n_epochs:
-            raise ValueError(
-                f"epoch range [{start}, {stop}) outside "
-                f"[0, {self.n_epochs})")
-        return [self.batch_at(epoch, base_seed)
-                for epoch in range(start, stop)]
 
     # -- JSON-stable round trip ------------------------------------------------
 

@@ -3,12 +3,12 @@ Never imported."""
 
 
 class BatchOnlyFabric:
-    """Has the batched entry point but no scalar step() twin."""
+    """Has the batched entry point but no scalar offer() twin."""
 
     def __init__(self):
         self.epoch = 0
 
-    def batch_step(self, flows):  # BAD: no step() oracle anywhere
+    def offer_batch(self, flows):  # BAD: no offer() oracle anywhere
         self.epoch += 1
         return [self._admit(flow) for flow in flows]
 

@@ -8,12 +8,12 @@ class TwinnedFabric:
     def __init__(self):
         self.epoch = 0
 
-    def step(self, flow):
+    def offer(self, flow):
         return flow
 
-    def batch_step(self, flows):
+    def offer_batch(self, flows):
         self.epoch += 1
-        return [self.step(flow) for flow in flows]
+        return [self.offer(flow) for flow in flows]
 
 
 class TwinnedRouter:

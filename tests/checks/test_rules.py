@@ -185,29 +185,29 @@ class Driver:
 class TestSIM006Details:
     def test_missing_oracle_keys(self):
         keys = {f.key for f in check_fixture("sim006_bad", "SIM006")}
-        assert keys == {"BatchOnlyFabric.batch_step:oracle",
+        assert keys == {"BatchOnlyFabric.offer_batch:oracle",
                         "BulkOnlyRouter.route_tokens:oracle"}
 
     SRC = '''
 class Fabric:
-    def step(self, flow):
+    def offer(self, flow):
         return flow
 
-    def batch_step(self, flows):
-        return [self.step(f) for f in flows]
+    def offer_batch(self, flows):
+        return [self.offer(f) for f in flows]
 '''
     TWIN_TEST = '''
 from fabric import Fabric
 
-def test_batch_step_matches_step():
+def test_offer_batch_matches_offer():
     fabric = Fabric()
-    assert fabric.batch_step([1]) == [fabric.step(1)]
+    assert fabric.offer_batch([1]) == [fabric.offer(1)]
 '''
     OTHER_TEST = '''
 from fabric import Fabric
 
 def test_scalar_only():
-    assert Fabric().step(1) == 1
+    assert Fabric().offer(1) == 1
 '''
 
     def test_twin_test_evidence_satisfies(self):
@@ -223,7 +223,7 @@ def test_scalar_only():
             rules=["SIM006"],
             index_sources={"tests/test_fabric.py": self.OTHER_TEST})
         assert [f.key for f in report.findings] == [
-            "Fabric.batch_step:twin-test"]
+            "Fabric.offer_batch:twin-test"]
 
     def test_no_test_modules_means_no_twin_test_check(self):
         # Single-file runs can't see the test tree; only the missing-

@@ -168,6 +168,8 @@ def test_backend_twin_tests_cover_every_backend():
      {"AWGRNetworkSimulator.offer_batch:oracle"}),
     ("routing.py", (SRC / "network" / "routing.py",),
      {"IndirectRouter.route_tokens:oracle"}),
+    ("episodes.py", (SRC / "scenarios" / "episodes.py",),
+     {"Episode.generate_batch:oracle"}),
 ])
 def test_deleting_an_oracle_module_fails_sim006(oracle, src_files,
                                                 expect_keys):

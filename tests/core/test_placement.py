@@ -1,5 +1,8 @@
 """Job placement onto MCMs and fabric bandwidth validation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.allocation import JobRequest
@@ -106,24 +109,25 @@ class TestFlows:
                                             memory_gbyte=512.0,
                                             nic_gbps=200.0))
         flows = engine.flows_for(placement)
-        kinds = {f.kind for f in flows}
+        kinds = {flows.kinds[code] for code in flows.kind_codes}
         assert {"cpu-mem", "cpu-nic", "gpu-hbm"} <= kinds
 
     def test_gpu_hbm_bandwidth_scales_with_gpus(self):
         engine = PlacementEngine()
         placement = engine.place(JobRequest("j", gpus=3,
                                             memory_gbyte=0.0))
-        flows = [f for f in engine.flows_for(placement)
-                 if f.kind == "gpu-hbm"]
-        total = sum(f.gbps for f in flows)
-        assert total == pytest.approx(3 * 1555.2 * 8.0)
+        flows = engine.flows_for(placement)
+        gpu_hbm = flows.kind_codes == flows.kinds.index("gpu-hbm")
+        assert flows.gbps[gpu_hbm].sum() == pytest.approx(3 * 1555.2 * 8.0)
 
     def test_memory_only_job_has_no_gpu_flows(self):
         engine = PlacementEngine()
         placement = engine.place(JobRequest("j", cpus=1,
                                             memory_gbyte=64.0))
         flows = engine.flows_for(placement)
-        assert all(f.kind != "gpu-hbm" for f in flows)
+        assert len(flows)
+        assert not np.any(flows.kind_codes
+                          == flows.kinds.index("gpu-hbm"))
 
 
 class TestBandwidthValidation:
@@ -135,6 +139,16 @@ class TestBandwidthValidation:
         report, flows = engine.validate_bandwidth(jobs)
         assert flows
         assert report.acceptance_ratio > 0.95
+        # Pinned exactly, striping sums included: 13 logical flows
+        # become 3992 wavelength-sized pieces.
+        assert len(flows) == 13
+        assert dataclasses.asdict(report) == {
+            "slots": 1, "offered": 3992, "carried_direct": 21,
+            "carried_indirect": 3971, "carried_double": 0, "blocked": 0,
+            "offered_gbps": 99732.79999999999,
+            "carried_gbps": 99732.79999999999,
+            "stale_mispredictions": 0,
+            "hop_histogram": {1: 21, 2: 3971}}
         # Validation must not leak placements.
         assert not engine.placements
 

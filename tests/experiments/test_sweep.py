@@ -14,7 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments.cache import decode_metrics, encode_metrics
 from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import uniform_traffic
+from repro.network.traffic import uniform_batch
 
 
 def sim_factory(config, seed):
@@ -24,7 +24,7 @@ def sim_factory(config, seed):
                                planes=config["planes"],
                                flows_per_wavelength=1, rng_seed=seed)
     rng = np.random.default_rng(seed)
-    batches = [uniform_traffic(config["n_nodes"], 8, rng=rng)
+    batches = [uniform_batch(config["n_nodes"], 8, rng=rng)
                for _ in range(4)]
     return sim.run(batches, duration_slots=2)
 

@@ -23,13 +23,8 @@ from repro.network.simulator import (
     AWGRNetworkSimulator,
     sequential_sum,
 )
-from repro.network.traffic import (
-    Flow,
-    FlowBatch,
-    hotspot_traffic,
-    uniform_batch,
-    uniform_traffic,
-)
+from repro.network.traffic import FlowBatch, hotspot_batch, uniform_batch
+from tests.oracles.flows import Flow, from_flows
 from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
 
@@ -45,8 +40,8 @@ def assert_equivalent(scalar: ScalarAWGRNetworkSimulator,
                       batched: AWGRNetworkSimulator,
                       batches, duration_slots: int) -> None:
     """Run both paths and require bit-identical observable state."""
-    report_scalar = scalar.run([list(b) for b in batches], duration_slots)
-    report_batched = batched.run([list(b) for b in batches], duration_slots)
+    report_scalar = scalar.run(batches, duration_slots)
+    report_batched = batched.run(batches, duration_slots)
     assert report_scalar.as_dict() == report_batched.as_dict()
     assert report_scalar.hop_histogram == report_batched.hop_histogram
     assert report_scalar.offered_gbps == report_batched.offered_gbps
@@ -63,7 +58,7 @@ class TestSeededEquivalence:
     def test_uniform_light_all_direct(self, seed):
         scalar, batched = make_pair(seed, n_nodes=20, planes=4,
                                     flows_per_wavelength=4)
-        batches = [uniform_traffic(20, 30, gbps=5.0, rng=100 + seed)
+        batches = [uniform_batch(20, 30, gbps=5.0, rng=100 + seed)
                    for _ in range(5)]
         assert_equivalent(scalar, batched, batches, duration_slots=2)
 
@@ -71,7 +66,7 @@ class TestSeededEquivalence:
     def test_uniform_heavy_with_indirection(self, seed):
         scalar, batched = make_pair(seed, n_nodes=16, planes=2,
                                     flows_per_wavelength=1)
-        batches = [uniform_traffic(16, 40, gbps=25.0, rng=200 + seed)
+        batches = [uniform_batch(16, 40, gbps=25.0, rng=200 + seed)
                    for _ in range(6)]
         assert_equivalent(scalar, batched, batches, duration_slots=3)
 
@@ -79,7 +74,7 @@ class TestSeededEquivalence:
     def test_hotspot_overload_blocks(self, seed):
         scalar, batched = make_pair(seed, n_nodes=12, planes=2,
                                     flows_per_wavelength=1)
-        batches = [hotspot_traffic(12, 0, 30, gbps=25.0, rng=300 + seed)
+        batches = [hotspot_batch(12, 0, 30, gbps=25.0, rng=300 + seed)
                    for _ in range(4)]
         assert_equivalent(scalar, batched, batches, duration_slots=4)
         # The workload must actually exercise blocking.
@@ -90,7 +85,7 @@ class TestSeededEquivalence:
         kwargs = dict(n_nodes=12, planes=2, flows_per_wavelength=1,
                       state_update_period=25)
         scalar, batched = make_pair(seed, **kwargs)
-        batches = [hotspot_traffic(12, 0, 8, gbps=25.0, rng=seed)
+        batches = [hotspot_batch(12, 0, 8, gbps=25.0, rng=seed)
                    for _ in range(5)]
         assert_equivalent(scalar, batched, batches, duration_slots=3)
         # Staleness was actually exercised (fallback path + RNG draws).
@@ -101,7 +96,7 @@ class TestSeededEquivalence:
         """Flows wider than one sub-slot hit the argpartition fill."""
         scalar, batched = make_pair(seed, n_nodes=10, planes=3,
                                     flows_per_wavelength=8)
-        batches = [uniform_traffic(10, 20, gbps=60.0, rng=400 + seed)
+        batches = [uniform_batch(10, 20, gbps=60.0, rng=400 + seed)
                    for _ in range(4)]
         assert_equivalent(scalar, batched, batches, duration_slots=2)
 
@@ -110,8 +105,8 @@ class TestSeededEquivalence:
         like the sequential loop (prefix direct, rest indirect)."""
         scalar, batched = make_pair(0, n_nodes=8, planes=2,
                                     flows_per_wavelength=1)
-        batch = [Flow(1, 0, gbps=25.0) for _ in range(5)]
-        batch += [Flow(2, 3, gbps=25.0), Flow(1, 0, gbps=25.0)]
+        batch = FlowBatch(src=[1, 1, 1, 1, 1, 2, 1],
+                          dst=[0, 0, 0, 0, 0, 3, 0], gbps=[25.0] * 7)
         assert_equivalent(scalar, batched, [batch], duration_slots=2)
 
     def test_indirect_reservation_steals_later_direct_capacity(self):
@@ -125,8 +120,7 @@ class TestSeededEquivalence:
         """
         scalar, batched = make_pair(0, n_nodes=3, planes=1,
                                     flows_per_wavelength=1)
-        batch = [Flow(0, 1, gbps=25.0), Flow(0, 1, gbps=25.0),
-                 Flow(2, 1, gbps=25.0)]
+        batch = FlowBatch(src=[0, 0, 2], dst=[1, 1, 1], gbps=[25.0] * 3)
         assert_equivalent(scalar, batched, [batch], duration_slots=2)
         # Sanity: the third flow really was displaced.
         assert batched.router.stats[RouteKind.DIRECT] == 1
@@ -210,8 +204,7 @@ class TestGeneratedEquivalence:
             assert scalar.fail_plane(plane) == batched.fail_plane(plane) == 0
         for flows in slots:
             expected = [scalar.offer(flow, duration) for flow in flows]
-            decisions = batched.offer_batch(FlowBatch.from_flows(flows),
-                                            duration)
+            decisions = batched.offer_batch(from_flows(flows), duration)
             assert [_KIND_BY_CODE[k] for k in decisions.kinds.tolist()] \
                 == [d.kind for d in expected]
             assert decisions.hops.tolist() == [d.hops for d in expected]
@@ -240,8 +233,8 @@ class TestGeneratedEquivalence:
         sim = AWGRNetworkSimulator(n_nodes=4, planes=5,
                                    flows_per_wavelength=1)
         codes = spy_route_tokens(sim)
-        decisions = sim.offer_batch(FlowBatch.from_flows(
-            [Flow(0, 1, 150.0), Flow(0, 1, 25.0)]))
+        decisions = sim.offer_batch(
+            FlowBatch(src=[0, 0], dst=[1, 1], gbps=[150.0, 25.0]))
         assert codes == [BLOCKED]
         assert decisions.kinds.tolist() == [BLOCKED, DIRECT]
 
@@ -258,7 +251,7 @@ class TestFailureInjectedEquivalence:
             dropped = []
             reports = []
             for phase in range(3):
-                batches = [uniform_traffic(14, 25, gbps=25.0, rng=rng)
+                batches = [uniform_batch(14, 25, gbps=25.0, rng=rng)
                            for _ in range(3)]
                 reports.append(sim.run(batches, duration_slots=4))
                 if phase == 0:
@@ -317,8 +310,7 @@ class TestOfferBatchAPI:
         b = AWGRNetworkSimulator(n_nodes=6)
         decision = a.offer(Flow(0, 1, gbps=25.0), duration_slots=2)
         decisions = b.offer_batch(
-            FlowBatch.from_flows([Flow(0, 1, gbps=25.0)]),
-            duration_slots=2)
+            FlowBatch(src=[0], dst=[1], gbps=[25.0]), duration_slots=2)
         assert decision.kind is RouteKind.DIRECT
         assert decisions.kinds[0] == DIRECT
         assert decisions.hops[0] == 1
@@ -328,21 +320,16 @@ class TestOfferBatchAPI:
     def test_out_of_range_endpoints_rejected(self):
         """Numpy negative-index wraparound must not admit bad flows."""
         sim = AWGRNetworkSimulator(n_nodes=6)
-        bad = Flow.__new__(Flow)  # bypass Flow validation on purpose
-        object.__setattr__(bad, "src", -1)
-        object.__setattr__(bad, "dst", 2)
-        object.__setattr__(bad, "gbps", 5.0)
-        object.__setattr__(bad, "kind", "generic")
+        bad = FlowBatch(src=[-1], dst=[2], gbps=[5.0])
         with pytest.raises(ValueError, match="out of range"):
-            sim.offer_batch(FlowBatch.from_flows([bad]))
+            sim.offer_batch(bad)
         assert (sim.allocator._occupancy == 0).all()
 
     def test_blocked_flow_reported(self):
         sim = AWGRNetworkSimulator(n_nodes=2, planes=1,
                                    flows_per_wavelength=1)
         decisions = sim.offer_batch(
-            FlowBatch.from_flows(
-                [Flow(0, 1, gbps=25.0), Flow(0, 1, gbps=25.0)]),
+            FlowBatch(src=[0, 0], dst=[1, 1], gbps=[25.0, 25.0]),
             duration_slots=2)
         assert decisions.kinds.tolist() == [DIRECT, BLOCKED]
         assert decisions.hops.tolist() == [1, 0]
@@ -351,7 +338,7 @@ class TestOfferBatchAPI:
     def test_batched_flows_retire_on_schedule(self):
         sim = AWGRNetworkSimulator(n_nodes=6, planes=1,
                                    flows_per_wavelength=1)
-        sim.offer_batch(FlowBatch.from_flows([Flow(0, 1, gbps=25.0)]),
+        sim.offer_batch(FlowBatch(src=[0], dst=[1], gbps=[25.0]),
                         duration_slots=2)
         assert sim.allocator.used_slots(0, 1) == 1
         sim.step()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.routing import DIRECT, INDIRECT, IndirectRouter
 from repro.network.simulator import AWGRNetworkSimulator
-from repro.network.traffic import Flow
+from repro.network.traffic import FlowBatch
 from repro.network.wavelength import WavelengthAllocator
 
 
@@ -76,7 +76,7 @@ class TestRoutingUnderFailure:
         sim = AWGRNetworkSimulator(n_nodes=8, planes=5,
                                    flows_per_wavelength=1, rng_seed=1)
         sim.allocator.fail_plane(4)
-        batch = [Flow(1, 0, gbps=25.0) for _ in range(5)]
+        batch = FlowBatch(src=[1] * 5, dst=[0] * 5, gbps=[25.0] * 5)
         report = sim.run([batch], duration_slots=2)
         # 4 direct wavelengths remain; the fifth flow goes indirect.
         assert report.carried == 5

@@ -15,7 +15,7 @@ import pytest
 from repro.experiments.cache import decode_metrics, encode_metrics
 from repro.network.simulator import AWGRNetworkSimulator
 from repro.network.state import PiggybackState
-from repro.network.traffic import hotspot_traffic, uniform_traffic
+from repro.network.traffic import FlowBatch, hotspot_batch, uniform_batch
 from repro.network.wavelength import (
     WavelengthAllocator,
     decode_array,
@@ -31,8 +31,9 @@ def json_round_trip(snapshot: dict) -> dict:
 
 def mixed_batches(seed, n_batches=5, n_nodes=10):
     rng = np.random.default_rng(seed)
-    return [uniform_traffic(n_nodes, 10, gbps=25.0, rng=rng)
-            + hotspot_traffic(n_nodes, 0, 5, gbps=25.0, rng=rng)
+    return [FlowBatch.concat([
+                uniform_batch(n_nodes, 10, gbps=25.0, rng=rng),
+                hotspot_batch(n_nodes, 0, 5, gbps=25.0, rng=rng)])
             for _ in range(n_batches)]
 
 
@@ -126,14 +127,12 @@ class TestAWGRSimulatorSnapshot:
         original.run(mixed_batches(1), duration_slots=3)
         snap = json_round_trip(original.snapshot())
         suffix = mixed_batches(2)
-        report_a = original.run([list(b) for b in suffix],
-                                duration_slots=3)
+        report_a = original.run(suffix, duration_slots=3)
         # Different construction seed: everything that matters must
         # come from the snapshot, not the constructor.
         restored = AWGRNetworkSimulator(rng_seed=999, **kwargs)
         restored.restore(snap)
-        report_b = restored.run([list(b) for b in suffix],
-                                duration_slots=3)
+        report_b = restored.run(suffix, duration_slots=3)
         assert report_a.as_dict() == report_b.as_dict()
         assert report_a.hop_histogram == report_b.hop_histogram
         assert (original.allocator._occupancy
@@ -157,10 +156,8 @@ class TestAWGRSimulatorSnapshot:
         original.repair_plane(0)
         restored.repair_plane(0)
         suffix = mixed_batches(5, n_batches=3)
-        report_a = original.run([list(b) for b in suffix],
-                                duration_slots=4)
-        report_b = restored.run([list(b) for b in suffix],
-                                duration_slots=4)
+        report_a = original.run(suffix, duration_slots=4)
+        report_b = restored.run(suffix, duration_slots=4)
         assert report_a.as_dict() == report_b.as_dict()
 
     def test_in_flight_flows_survive_and_release_cleanly(self):
@@ -199,11 +196,11 @@ class TestWSSSimulatorSnapshot:
         original.fabric.reconfig_time_s = 0.05  # mid-run lag change
         snap = json_round_trip(original.snapshot())
         suffix = mixed_batches(9, n_batches=3, n_nodes=8)
-        report_a = original.run([list(b) for b in suffix])
+        report_a = original.run(suffix)
 
         restored = WSSNetworkSimulator(**kwargs)
         restored.restore(snap)
-        report_b = restored.run([list(b) for b in suffix])
+        report_b = restored.run(suffix)
         assert report_a.as_dict() == report_b.as_dict()
         assert report_a.per_slot_served == report_b.per_slot_served
         for cfg_a, cfg_b in zip(original.fabric.configs,

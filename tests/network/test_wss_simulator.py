@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.network.traffic import Flow, FlowBatch, uniform_traffic
+from repro.network.traffic import FlowBatch, uniform_batch
 from repro.network.wss_simulator import WSSNetworkSimulator
 
 
 def batches(n_nodes, n_slots, seed=0, gbps=10.0, per_slot=8):
     rng = np.random.default_rng(seed)
-    return [uniform_traffic(n_nodes, per_slot, gbps=gbps, rng=rng)
+    return [uniform_batch(n_nodes, per_slot, gbps=gbps, rng=rng)
             for _ in range(n_slots)]
 
 
 class TestDemandMatrix:
     def test_aggregation(self):
-        flows = [Flow(0, 1, 10.0), Flow(0, 1, 5.0), Flow(2, 3, 7.0)]
-        demand = WSSNetworkSimulator.demand_matrix(
-            FlowBatch.from_flows(flows), 4)
+        flows = FlowBatch(src=[0, 0, 2], dst=[1, 1, 3],
+                          gbps=[10.0, 5.0, 7.0])
+        demand = WSSNetworkSimulator.demand_matrix(flows, 4)
         assert demand[0, 1] == 15.0
         assert demand[2, 3] == 7.0
         assert demand.sum() == 22.0
@@ -28,9 +28,9 @@ class TestRun:
         sim = WSSNetworkSimulator(n_nodes=16, slot_time_s=10.0)
         # The same batch every slot: after the first reconfiguration
         # the configuration matches demand exactly.
-        batch = uniform_traffic(16, 8, gbps=20.0,
-                                rng=np.random.default_rng(1))
-        report = sim.run([list(batch) for _ in range(6)])
+        batch = uniform_batch(16, 8, gbps=20.0,
+                              rng=np.random.default_rng(1))
+        report = sim.run([batch] * 6)
         assert report.throughput_ratio > 0.85
         assert report.reconfigurations >= 1
 
@@ -40,8 +40,8 @@ class TestRun:
         slow = WSSNetworkSimulator(n_nodes=16, reconfig_period=4,
                                    slot_time_s=10.0)
         shifting = batches(16, 8, seed=2, gbps=25.0)
-        fr = fast.run([list(b) for b in shifting])
-        sr = slow.run([list(b) for b in shifting])
+        fr = fast.run(shifting)
+        sr = slow.run(shifting)
         # The lazy scheduler reconfigures less but serves less of the
         # shifting demand.
         assert sr.reconfigurations < fr.reconfigurations
@@ -65,7 +65,7 @@ class TestRun:
     def test_empty_slots_ok(self):
         # An idle run must not read as a perfect fabric, with or
         # without slots.
-        for slots in ([[], []], []):
+        for slots in ([FlowBatch.empty(), FlowBatch.empty()], []):
             report = WSSNetworkSimulator(n_nodes=8).run(slots)
             assert report.throughput_ratio == 0.0
             assert report.worst_slot_served == 0.0

@@ -22,7 +22,6 @@ from dataclasses import fields
 import numpy as np
 
 from repro.network.routing import RouteKind
-from repro.network.traffic import Flow
 from repro.scenarios.backends import (
     AWGRBackend,
     ElectronicBackend,
@@ -30,6 +29,7 @@ from repro.scenarios.backends import (
     WSSBackend,
 )
 from repro.scenarios.topologies import DragonflyBackend, FullMeshBackend
+from tests.oracles.flows import Flow, to_flows
 from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
 
@@ -54,9 +54,9 @@ class ScalarAWGRBackend(AWGRBackend):
             rng_seed=self.rng_seed,
             track_state=self.track_state)
 
-    def step(self, flows) -> EpochReport:
+    def step(self, batch) -> EpochReport:
         report = EpochReport(epoch=self._epoch)
-        for flow in flows:
+        for flow in to_flows(batch):
             decision = self.sim.offer(flow, self.duration_slots)
             report.offered += 1
             report.offered_gbps += flow.gbps
@@ -78,8 +78,8 @@ class ScalarAWGRBackend(AWGRBackend):
 class ScalarWSSBackend(WSSBackend):
     """Case (B), per-flow service from the shared served matrix."""
 
-    def step(self, flows) -> EpochReport:
-        flows = list(flows)
+    def step(self, batch) -> EpochReport:
+        flows = to_flows(batch)
         report = EpochReport(epoch=self._epoch)
         demand = demand_matrix(flows, self.n_nodes)
         served, reconfigured, downtime_fraction = self._serve(demand)
@@ -106,8 +106,8 @@ class ScalarWSSBackend(WSSBackend):
 class ScalarElectronicBackend(ElectronicBackend):
     """§VI-D comparator, per-flow endpoint loads and shares."""
 
-    def step(self, flows) -> EpochReport:
-        flows = list(flows)
+    def step(self, batch) -> EpochReport:
+        flows = to_flows(batch)
         report = EpochReport(epoch=self._epoch)
         egress = np.zeros(self.n_nodes)
         ingress = np.zeros(self.n_nodes)
@@ -132,8 +132,8 @@ class ScalarElectronicBackend(ElectronicBackend):
 class ScalarFullMeshBackend(FullMeshBackend):
     """Full mesh, per-flow share of the pair's own links."""
 
-    def step(self, flows) -> EpochReport:
-        flows = list(flows)
+    def step(self, batch) -> EpochReport:
+        flows = to_flows(batch)
         report = EpochReport(epoch=self._epoch)
         capacity = self.healthy_link_planes * self.gbps_per_link
         demand = demand_matrix(flows, self.n_nodes)
@@ -165,8 +165,8 @@ class ScalarDragonflyBackend(DragonflyBackend):
     channel totals.
     """
 
-    def step(self, flows) -> EpochReport:
-        flows = list(flows)
+    def step(self, batch) -> EpochReport:
+        flows = to_flows(batch)
         report = EpochReport(epoch=self._epoch)
         gcap = self.healthy_global_links * self.gbps_per_global_link
         groups = self._node_group

@@ -3,7 +3,8 @@
 ``offer`` routes one flow through
 :meth:`~tests.oracles.routing.ScalarIndirectRouter.route_flow` and
 keeps the ``(Flow, RouteDecision)`` pair until it expires; ``run`` is
-the per-flow report loop over it. They are the loops that
+the per-flow report loop over it, taking the same ``FlowBatch`` slots
+as the production ``run``. They are the loops that
 :meth:`~repro.network.simulator.AWGRNetworkSimulator.offer_batch` and
 the batched ``run`` replaced, kept verbatim as their bit-identity
 oracle.
@@ -17,9 +18,12 @@ two stores does not matter. Snapshots carry the token buckets only.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.network.routing import RouteKind
 from repro.network.simulator import AWGRNetworkSimulator, SimulationReport
-from repro.network.traffic import Flow
+from repro.network.traffic import FlowBatch
+from tests.oracles.flows import Flow, to_flows
 from tests.oracles.routing import RouteDecision, ScalarIndirectRouter
 
 
@@ -74,12 +78,12 @@ class ScalarAWGRNetworkSimulator(AWGRNetworkSimulator):
             self._entries[expiry] = survivors
         return dropped
 
-    def run(self, flow_batches: list[list[Flow]],
+    def run(self, flow_batches: Sequence[FlowBatch],
             duration_slots: int = 4) -> SimulationReport:
         """Reference per-flow admission loop (the pre-batching path)."""
         report = SimulationReport()
         for batch in flow_batches:
-            for flow in batch:
+            for flow in to_flows(batch):
                 decision = self.offer(flow, duration_slots)
                 report.offered += 1
                 report.offered_gbps += flow.gbps

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.traffic import Flow, FlowBatch, uniform_batch
+from repro.network.traffic import FlowBatch, uniform_batch
 from repro.scenarios import (
     AWGRBackend,
     ElectronicBackend,
@@ -15,8 +15,7 @@ from repro.scenarios import (
 
 
 def wavelength_flows(n, dst=0, gbps=25.0):
-    return FlowBatch.from_flows(
-        [Flow(src, dst, gbps) for src in range(1, n + 1)])
+    return FlowBatch(src=range(1, n + 1), dst=[dst] * n, gbps=[gbps] * n)
 
 
 class TestEpochReport:
@@ -67,7 +66,7 @@ class TestAWGRBackend:
         backend = AWGRBackend(n_nodes=8, planes=2, duration_slots=1)
         # Six same-pair wavelength flows vs two direct wavelengths.
         report = backend.step(
-            FlowBatch.from_flows([Flow(1, 0, 25.0) for _ in range(6)]))
+            FlowBatch(src=[1] * 6, dst=[0] * 6, gbps=[25.0] * 6))
         assert report.carried > 2
         assert report.indirect > 0
         assert max(report.slowdowns) >= 2.0
@@ -84,8 +83,7 @@ class TestAWGRBackend:
 
     def test_fail_plane_drops_resident_flows_cleanly(self):
         backend = AWGRBackend(n_nodes=8, planes=2, duration_slots=10)
-        backend.step(
-            FlowBatch.from_flows([Flow(1, 0, 25.0) for _ in range(4)]))
+        backend.step(FlowBatch(src=[1] * 4, dst=[0] * 4, gbps=[25.0] * 4))
         backend.apply_event(
             ScenarioEvent(epoch=0, action="fail_plane", value=0))
         backend.apply_event(

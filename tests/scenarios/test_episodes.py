@@ -9,6 +9,13 @@ from repro.scenarios.episodes import (
     envelope_value,
     sample_count,
 )
+from tests.oracles.episodes import ScalarEpisode
+from tests.oracles.flows import to_flows
+
+
+def flows_of(episode, epoch, n_epochs, n_nodes, rng):
+    """One epoch of ``episode``'s flows, as objects."""
+    return to_flows(episode.generate_batch(epoch, n_epochs, n_nodes, rng))
 
 
 class TestSampleCount:
@@ -100,35 +107,35 @@ class TestEpisode:
 
     def test_inactive_epoch_emits_nothing(self):
         ep = Episode(kind="uniform", start=5, flows=4)
-        assert ep.generate(0, 10, 8, np.random.default_rng(0)) == []
+        assert flows_of(ep, 0, 10, 8, np.random.default_rng(0)) == []
 
     def test_uniform_generation_count_and_bounds(self):
         ep = Episode(kind="uniform", flows=12, gbps=10.0)
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert len(flows) == 12
         assert all(0 <= f.src < 8 and 0 <= f.dst < 8 for f in flows)
         assert all(f.gbps == 10.0 for f in flows)
 
     def test_hotspot_targets_param(self):
         ep = Episode(kind="hotspot", flows=6, params={"hotspot": 3})
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert all(f.dst == 3 for f in flows)
 
     def test_envelope_scales_count(self):
         ep = Episode(kind="uniform", flows=10,
                      envelope={"kind": "constant", "value": 0.5})
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert len(flows) == 5
 
     def test_zero_intensity_emits_nothing(self):
         ep = Episode(kind="collective",
                      envelope={"kind": "constant", "value": 0.0})
-        assert ep.generate(0, 10, 8, np.random.default_rng(0)) == []
+        assert flows_of(ep, 0, 10, 8, np.random.default_rng(0)) == []
 
     def test_collective_ring_over_nodes(self):
         ep = Episode(kind="collective", gbps=50.0,
                      params={"nodes": [0, 1, 2]})
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert [(f.src, f.dst) for f in flows] == [(0, 1), (1, 2),
                                                    (2, 0)]
         assert all(f.gbps == 50.0 for f in flows)
@@ -137,12 +144,12 @@ class TestEpisode:
         ep = Episode(kind="collective", gbps=50.0,
                      envelope={"kind": "constant", "value": 0.5},
                      params={"nodes": [0, 1]})
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert all(f.gbps == 25.0 for f in flows)
 
     def test_cpu_mem_defaults_split_rack(self):
         ep = Episode(kind="cpu-mem")
-        flows = ep.generate(0, 10, 8, np.random.default_rng(0))
+        flows = flows_of(ep, 0, 10, 8, np.random.default_rng(0))
         assert len(flows) == 4
         assert all(f.src < 4 <= f.dst for f in flows)
 
@@ -150,8 +157,8 @@ class TestEpisode:
         ep = Episode(kind="cori-replay",
                      params={"peak_gbps": 1000.0})
         rng = np.random.default_rng(0)
-        a = ep.generate(0, 10, 8, rng)
-        b = ep.generate(1, 10, 8, rng)
+        a = flows_of(ep, 0, 10, 8, rng)
+        b = flows_of(ep, 1, 10, 8, rng)
         assert [f.gbps for f in a] != [f.gbps for f in b]
         assert all(f.kind == "cori-replay" for f in a)
 
@@ -159,8 +166,8 @@ class TestEpisode:
         # Default node split on the smallest legal rack must not
         # self-pair.
         for kind in ("cpu-mem", "gpu-hbm", "cori-replay"):
-            flows = Episode(kind=kind).generate(
-                0, 4, 2, np.random.default_rng(0))
+            flows = flows_of(Episode(kind=kind), 0, 4, 2,
+                             np.random.default_rng(0))
             assert flows
             assert all(f.src != f.dst for f in flows)
 
@@ -168,30 +175,42 @@ class TestEpisode:
         ep = Episode(kind="gpu-hbm",
                      params={"nodes": list(range(8))})
         with pytest.raises(ValueError, match="no peer nodes"):
-            ep.generate(0, 4, 8, np.random.default_rng(0))
+            flows_of(ep, 0, 4, 8, np.random.default_rng(0))
 
     def test_every_kind_generates(self):
         rng = np.random.default_rng(0)
         for kind in EPISODE_KINDS:
-            flows = Episode(kind=kind, flows=4).generate(0, 10, 8, rng)
-            assert isinstance(flows, list)
-            assert all(f.src != f.dst for f in flows)
+            batch = Episode(kind=kind, flows=4).generate_batch(
+                0, 10, 8, rng)
+            assert len(batch)
+            assert np.all(batch.src != batch.dst)
 
 
 class TestGenerateBatchTwin:
-    """generate is the object view of generate_batch (SIM006): same
-    flows, same RNG consumption, for every episode kind."""
+    """``generate_batch`` against ``ScalarEpisode.generate``, the
+    per-flow loops it replaced (SIM006): the same flows, bit for bit,
+    and the same generator state afterwards, for every episode kind."""
 
     EPISODES = [
-        Episode(kind="uniform", flows={"dist": "poisson", "mean": 12},
-                gbps=20.0),
-        Episode(kind="hotspot", flows=9, params={"hotspot": 3}),
-        Episode(kind="cpu-mem", envelope={"kind": "ramp", "start": 0.2,
-                                          "end": 1.0}, duration=8),
-        Episode(kind="gpu-hbm", params={"nodes": [0, 1, 2]}),
-        Episode(kind="collective", params={"nodes": [1, 3, 5]}),
-        Episode(kind="cori-replay", params={"peak_gbps": 512.0}),
+        ScalarEpisode(kind="uniform",
+                      flows={"dist": "poisson", "mean": 12}, gbps=20.0),
+        ScalarEpisode(kind="hotspot", flows=9, params={"hotspot": 3}),
+        ScalarEpisode(kind="cpu-mem", duration=8,
+                      envelope={"kind": "ramp", "start": 0.2,
+                                "end": 1.0}),
+        ScalarEpisode(kind="gpu-hbm", params={"nodes": [0, 1, 2]},
+                      envelope={"kind": "diurnal", "period": 6}),
+        ScalarEpisode(kind="collective", params={"nodes": [1, 3, 5]},
+                      envelope={"kind": "burst", "period": 3,
+                                "low": 0.5}),
+        ScalarEpisode(kind="cori-replay", params={"peak_gbps": 900.0},
+                      envelope={"kind": "ramp", "start": 0.3,
+                                "end": 0.9}),
     ]
+
+    def test_every_kind_is_covered(self):
+        assert sorted(e.kind for e in self.EPISODES) == sorted(
+            EPISODE_KINDS)
 
     @pytest.mark.parametrize("episode", EPISODES,
                              ids=[e.kind for e in EPISODES])
@@ -201,13 +220,13 @@ class TestGenerateBatchTwin:
             rng_b = np.random.default_rng(42)
             flows = episode.generate(epoch, 16, 8, rng_a)
             batch = episode.generate_batch(epoch, 16, 8, rng_b)
-            assert flows == batch.to_flows()
-            # Both twins consumed the identical RNG stream.
-            assert (rng_a.integers(0, 1 << 30)
-                    == rng_b.integers(0, 1 << 30))
+            assert flows == to_flows(batch)
+            assert (rng_a.bit_generator.state
+                    == rng_b.bit_generator.state)
 
     def test_inactive_epoch_is_empty_in_both(self):
-        episode = Episode(kind="uniform", start=5, duration=2, flows=4)
+        episode = ScalarEpisode(kind="uniform", start=5, duration=2,
+                                flows=4)
         rng = np.random.default_rng(0)
         assert episode.generate(0, 16, 8, rng) == []
         assert len(episode.generate_batch(0, 16, 8, rng)) == 0

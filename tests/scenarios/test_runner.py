@@ -115,7 +115,7 @@ class TestSeedingModes:
         runner = ScenarioRunner(scenario, make_backend("awgr", 8))
         report = runner.run(seed=3)
         offered = [e.offered for e in report.epochs]
-        assert offered == [len(scenario.batch_at(i, base_seed=3))
+        assert offered == [len(scenario.flow_batch_at(i, base_seed=3))
                            for i in range(scenario.n_epochs)]
 
 

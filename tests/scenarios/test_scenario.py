@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.spec import canonical_json
-from repro.scenarios import Episode, Scenario, ScenarioEvent
+from repro.scenarios import (
+    Episode,
+    Scenario,
+    ScenarioEvent,
+    ScenarioRunner,
+    available_backends,
+    make_backend,
+)
+from tests.oracles.flows import to_flows
 
 
 def small_scenario(**overrides):
@@ -42,26 +50,50 @@ class TestValidation:
             ScenarioEvent(epoch=0, action="")
 
 
+class TestEpisodeNodesInRack:
+    """A node outside ``[0, n_nodes)`` is a config error when the
+    scenario is built, not a failure (or, through numpy's negative
+    indexing, a silent wrap to node ``n - 1``) when an epoch runs."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kind,params,node", [
+        ("gpu-hbm", {"nodes": [-1, 0]}, -1),
+        ("gpu-hbm", {"nodes": [0, 9]}, 9),
+        ("cpu-mem", {"nodes": [0], "memory_nodes": [1, 4]}, 4),
+        ("hotspot", {"hotspot": 4}, 4),
+    ])
+    def test_rejected_before_any_epoch_on_every_backend(
+            self, backend, kind, params, node):
+        config = {"name": "bad-nodes", "n_nodes": 4, "n_epochs": 2,
+                  "episodes": [{"kind": "uniform", "flows": 2},
+                               {"kind": kind, "params": params}]}
+        with pytest.raises(ValueError,
+                           match=rf"episode 1 \({kind}\) names node "
+                                 rf"{node},"):
+            ScenarioRunner(Scenario.from_config(config),
+                           make_backend(backend, 4)).run(seed=0)
+
+
 class TestComposition:
     def test_batch_concatenates_active_episodes(self):
         scenario = small_scenario()
         rng = np.random.default_rng(0)
-        early = scenario.batch(0, rng)
-        late = scenario.batch(2, rng)
+        early = scenario.flow_batch(0, rng)
+        late = scenario.flow_batch(2, rng)
         assert len(early) == 5           # only the uniform episode
         assert len(late) == 8            # uniform + hotspot
 
     def test_batches_covers_every_epoch(self):
-        batches = small_scenario().batches_range(0, 4, base_seed=0)
-        assert len(batches) == 4
+        scenario = small_scenario()
+        assert [len(scenario.flow_batch_at(epoch, base_seed=0))
+                for epoch in range(4)] == [5, 5, 8, 8]
 
     def test_batches_accepts_int_seed_reproducibly(self):
-        a = small_scenario().batches_range(0, 4, base_seed=3)
-        b = small_scenario().batches_range(0, 4, base_seed=3)
-        assert [[(f.src, f.dst, f.gbps) for f in batch]
-                for batch in a] == [
-               [(f.src, f.dst, f.gbps) for f in batch]
-                for batch in b]
+        a = [to_flows(small_scenario().flow_batch_at(e, base_seed=3))
+             for e in range(4)]
+        b = [to_flows(small_scenario().flow_batch_at(e, base_seed=3))
+             for e in range(4)]
+        assert a == b
 
     def test_events_at(self):
         scenario = small_scenario()

@@ -21,6 +21,7 @@ from repro.scenarios import (
     execute_chunk,
     make_backend,
 )
+from tests.oracles.flows import to_flows
 
 
 def small_scenario(n_epochs=6):
@@ -79,20 +80,20 @@ class TestShardInvariance:
         for scenario in SCENARIOS.values():
             n = min(scenario.n_epochs, 8)
             k = n // 2
-            full = scenario.batches_range(0, n, base_seed=3)
-            suffix = scenario.batches_range(k, n, base_seed=3)
+            full = [to_flows(scenario.flow_batch_at(epoch, base_seed=3))
+                    for epoch in range(n)]
+            suffix = [to_flows(scenario.flow_batch_at(epoch, base_seed=3))
+                      for epoch in range(k, n)]
             assert suffix == full[k:], scenario.name
 
     def test_single_epoch_matches_any_order(self):
         scenario = small_scenario()
-        later = scenario.batch_at(4, base_seed=9)
-        scenario.batch_at(0, base_seed=9)  # draws change nothing
-        scenario.batch_at(2, base_seed=9)
-        assert scenario.batch_at(4, base_seed=9) == later
+        later = to_flows(scenario.flow_batch_at(4, base_seed=9))
+        scenario.flow_batch_at(0, base_seed=9)  # draws change nothing
+        scenario.flow_batch_at(2, base_seed=9)
+        assert to_flows(scenario.flow_batch_at(4, base_seed=9)) == later
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            small_scenario(4).batches_range(2, 6)
         # Regression: execute_chunk used to simulate epochs past the
         # horizon, or return an empty chunk for an inverted range.
         config = small_scenario(4).to_config()

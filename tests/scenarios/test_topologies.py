@@ -6,12 +6,7 @@ scalar-vs-batched bit-identity against their per-flow oracles in
 import numpy as np
 import pytest
 
-from repro.network.traffic import (
-    Flow,
-    FlowBatch,
-    hotspot_batch,
-    uniform_batch,
-)
+from repro.network.traffic import FlowBatch, hotspot_batch, uniform_batch
 from repro.scenarios import ScenarioEvent
 from repro.scenarios.topologies import (
     DragonflyBackend,
@@ -21,6 +16,7 @@ from tests.oracles.backends import (
     ScalarDragonflyBackend,
     ScalarFullMeshBackend,
 )
+from tests.oracles.flows import Flow, from_flows
 
 
 def make_twins(scalar_cls, backend_cls, **kwargs):
@@ -30,7 +26,7 @@ def make_twins(scalar_cls, backend_cls, **kwargs):
 
 def flows(*items: Flow) -> FlowBatch:
     """One epoch of hand-built flows."""
-    return FlowBatch.from_flows(items)
+    return from_flows(list(items))
 
 
 def assert_identical_epochs(scalar, batched, batches,

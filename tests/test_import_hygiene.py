@@ -9,7 +9,9 @@ clean ``sys.modules`` can be observed.
 
 The scalar oracles under ``tests/oracles/`` are the other direction:
 production must never run them, so nothing under ``src/`` imports the
-``tests`` package, statically or at import time.
+``tests`` package, statically or at import time. The per-flow
+``Flow`` form of traffic lives there too: the package exports one
+flow form, ``FlowBatch``.
 """
 
 import ast
@@ -70,3 +72,12 @@ def test_no_source_file_imports_tests():
                 offenders.append(f"{path.relative_to(REPO)}:"
                                  f"{node.lineno}")
     assert offenders == []
+
+
+def test_package_has_one_flow_form():
+    import repro.network
+    import repro.network.traffic
+
+    assert not hasattr(repro.network.traffic, "Flow")
+    assert [name for name in repro.network.__all__
+            if name.endswith("_traffic")] == []
