@@ -29,8 +29,8 @@ def _sweep():
     } for row in result.rows()]
 
 
-def test_ablation_awgr_planes(benchmark):
-    rows = benchmark(_sweep)
+def test_ablation_awgr_planes():
+    rows = _sweep()
     emit("Ablation — AWGR plane count under hotspot", render_table(rows))
     acceptance = [r["acceptance"] for r in rows]
     assert acceptance == sorted(acceptance)  # more planes never hurt

@@ -29,8 +29,8 @@ def _sweep():
     } for row in result.rows()]
 
 
-def test_ablation_dram_load(benchmark):
-    rows = benchmark(_sweep)
+def test_ablation_dram_load():
+    rows = _sweep()
     emit("Ablation — DRAM load vs base latency vs slowdown",
          render_table(rows))
     base = [r["effective_base_ns"] for r in rows]

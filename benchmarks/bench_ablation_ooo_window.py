@@ -29,8 +29,8 @@ def _sweep():
                                        r["mlp_scale"]))
 
 
-def test_ablation_ooo_window(benchmark):
-    rows = benchmark(_sweep)
+def test_ablation_ooo_window():
+    rows = _sweep()
     emit("Ablation — OOO latency tolerance (Parsec large @35 ns)",
          render_table(rows))
     by_key = {(r["hide_cycles"], r["mlp_scale"]): r["mean_slowdown"]

@@ -29,8 +29,8 @@ def _sweep():
     } for row in result.rows()]
 
 
-def test_ablation_plane_failure(benchmark):
-    rows = benchmark(_sweep)
+def test_ablation_plane_failure():
+    rows = _sweep()
     emit("Ablation — AWGR plane failures", render_table(rows))
     acceptance = [r["acceptance"] for r in rows]
     # Degradation is graceful: monotone, and still >80% of flows with

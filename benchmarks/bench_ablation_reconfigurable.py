@@ -27,8 +27,8 @@ def _experiment():
     return row["epoch_rows"], row
 
 
-def test_ablation_reconfigurable(benchmark):
-    rows, totals = benchmark(_experiment)
+def test_ablation_reconfigurable():
+    rows, totals = _experiment()
     emit("Ablation — reconfigurable fabric vs shifting demand",
          render_table(rows))
     emit("Reconfiguration cost", "\n".join([

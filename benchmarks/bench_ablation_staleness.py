@@ -28,8 +28,8 @@ def _sweep():
     } for row in result.rows()]
 
 
-def test_ablation_staleness(benchmark):
-    rows = benchmark(_sweep)
+def test_ablation_staleness():
+    rows = _sweep()
     emit("Ablation — piggyback staleness", render_table(rows))
     fresh = rows[0]
     stalest = rows[-1]

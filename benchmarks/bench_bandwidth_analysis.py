@@ -22,8 +22,8 @@ def _analyze():
     return result.rows()[0]
 
 
-def test_bandwidth_analysis(benchmark):
-    row = benchmark(_analyze)
+def test_bandwidth_analysis():
+    row = _analyze()
     emit("§VI-A — case (A) bandwidth analysis", render_kv({
         "direct_pair_gbps": row["direct_pair_gbps"],
         "p(cpu-mem <= direct) [paper >0.995]":

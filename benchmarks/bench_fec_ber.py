@@ -20,8 +20,8 @@ def _sweep():
     return result.rows()
 
 
-def test_fec_ber(benchmark):
-    rows = benchmark(_sweep)
+def test_fec_ber():
+    rows = _sweep()
     emit("§III-C3 — FEC/BER sweep", render_table([{
         "raw_ber": r["raw_ber"],
         "flit_fail": r["flit_fail"],

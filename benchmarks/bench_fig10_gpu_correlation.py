@@ -12,8 +12,8 @@ from repro.analysis.stats import pearson
 from repro.core.slowdown import run_gpu_study
 
 
-def test_fig10_gpu_correlation(benchmark):
-    results = benchmark(run_gpu_study, 35.0)
+def test_fig10_gpu_correlation():
+    results = run_gpu_study(35.0)
     rows = [{
         "application": g.name, "slowdown": g.slowdown,
         "llc_miss_rate": g.llc_miss_rate,

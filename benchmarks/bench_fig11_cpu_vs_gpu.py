@@ -11,8 +11,8 @@ from repro.analysis.report import render_table
 from repro.core.slowdown import cpu_gpu_rodinia_comparison
 
 
-def test_fig11_cpu_vs_gpu(benchmark):
-    rows = benchmark(cpu_gpu_rodinia_comparison, 35.0)
+def test_fig11_cpu_vs_gpu():
+    rows = cpu_gpu_rodinia_comparison(35.0)
     table = [{
         "benchmark": r.benchmark, "inorder": r.inorder,
         "ooo": r.ooo, "gpu": r.gpu,

@@ -21,8 +21,8 @@ def _sweep():
     ).raise_on_failure().rows()
 
 
-def test_fig12_electronic_comparison(benchmark):
-    row = benchmark(_sweep)[0]
+def test_fig12_electronic_comparison():
+    row = _sweep()[0]
     table = [{
         "core": core,
         "mean_speedup": row[f"{core}_mean_speedup"],

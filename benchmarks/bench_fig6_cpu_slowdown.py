@@ -23,8 +23,8 @@ def _sweep():
         get_experiment("fig6_cpu_slowdown")).raise_on_failure().rows()
 
 
-def test_fig6_cpu_slowdown(benchmark):
-    raw = benchmark(_sweep)
+def test_fig6_cpu_slowdown():
+    raw = _sweep()
     rows = []
     for task_row in raw:
         core = task_row["core"]

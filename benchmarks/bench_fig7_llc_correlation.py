@@ -21,8 +21,8 @@ def _study():
     return run_cpu_study(35.0, benchmarks=benches)
 
 
-def test_fig7_llc_correlation(benchmark):
-    results = benchmark(_study)
+def test_fig7_llc_correlation():
+    results = _study()
     rows = [{
         "benchmark": r.name, "core": r.core,
         "slowdown": r.slowdown, "llc_miss_rate": r.llc_miss_rate,

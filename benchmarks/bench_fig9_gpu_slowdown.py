@@ -16,8 +16,8 @@ def _sweep():
     return {ns: run_gpu_study(ns) for ns in SENSITIVITY_POINTS_NS}
 
 
-def test_fig9_gpu_slowdown(benchmark):
-    sweeps = benchmark(_sweep)
+def test_fig9_gpu_slowdown():
+    sweeps = _sweep()
     at35 = {g.name: g for g in sweeps[35.0]}
     rows = [{
         "application": name,

@@ -28,8 +28,8 @@ def _experiment():
             for row in result.rows()]
 
 
-def test_indirect_routing(benchmark):
-    rows = benchmark(_experiment)
+def test_indirect_routing():
+    rows = _experiment()
     emit("§IV — indirect routing under hotspot load",
          render_table(rows))
     fresh, stale = rows

@@ -22,8 +22,8 @@ def _full_chain():
     return result.rows()[0]
 
 
-def test_isoperf(benchmark):
-    row = benchmark(_full_chain)
+def test_isoperf():
+    row = _full_chain()
     emit("§VI-E — iso-performance comparison", render_kv({
         "measured_cpu_slowdown (inorder mean)": row["cpu_slowdown"],
         "measured_gpu_slowdown (mean)": row["gpu_slowdown"],

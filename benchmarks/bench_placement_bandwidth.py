@@ -21,8 +21,8 @@ def _experiment():
     return result.rows()[0]
 
 
-def test_placement_bandwidth(benchmark):
-    row = benchmark(_experiment)
+def test_placement_bandwidth():
+    row = _experiment()
     emit("§VI-A (empirical) — placed job mix on the AWGR fabric",
          render_kv({
              "logical flows": row["logical_flows"],

@@ -21,8 +21,8 @@ def _run():
     return result.rows()[0]
 
 
-def test_power_overhead(benchmark):
-    result = benchmark(_run)
+def test_power_overhead():
+    result = _run()
     emit("§VI-C — power overhead", render_kv({
         "photonic_w [paper ~11000]": result["photonic_w"],
         "compute_w": result["compute_w"],

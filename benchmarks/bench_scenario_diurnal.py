@@ -32,8 +32,8 @@ def _sweep():
     } for row in result.rows()]
 
 
-def test_scenario_diurnal(benchmark):
-    rows = benchmark(_sweep)
+def test_scenario_diurnal():
+    rows = _sweep()
     emit("Scenario — diurnal Cori replay + noon plane failure",
          render_table(rows))
     awgr = next(r for r in rows if r["fabric"] == "awgr")

@@ -14,8 +14,8 @@ from repro.analysis.report import render_table
 from repro.photonics.links import table1_rows
 
 
-def test_table1_links(benchmark):
-    rows = benchmark(table1_rows, 2.0)
+def test_table1_links():
+    rows = table1_rows(2.0)
     emit("Table I — link technologies (2 TB/s escape)",
          render_table(rows, columns=["name", "gbps", "pj_per_bit",
                                      "channel_structure", "links",

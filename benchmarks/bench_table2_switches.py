@@ -19,8 +19,8 @@ def _build():
     return rows, cascade, wss
 
 
-def test_table2_switches(benchmark):
-    rows, cascade, wss = benchmark(_build)
+def test_table2_switches():
+    rows, cascade, wss = _build()
     emit("Table II — photonic switch catalog", render_table(rows))
     # Cascaded AWGR construction reproduces the paper's sizing.
     assert cascade.built_ports == 396

@@ -14,8 +14,8 @@ from repro.analysis.report import render_table
 from repro.rack.mcm import table3_rows
 
 
-def test_table3_mcm_packing(benchmark):
-    rows = benchmark(table3_rows)
+def test_table3_mcm_packing():
+    rows = table3_rows()
     emit("Table III — MCM packing", render_table(rows))
     expected = {"cpu": (14, 10), "gpu": (3, 171), "nic": (203, 3),
                 "hbm": (4, 128), "ddr4": (27, 38)}

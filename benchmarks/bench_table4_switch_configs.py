@@ -19,8 +19,8 @@ def _sweep():
         get_experiment("table4_switch_configs")).raise_on_failure().rows()
 
 
-def test_table4_switch_configs(benchmark):
-    rows = benchmark(_sweep)
+def test_table4_switch_configs():
+    rows = _sweep()
     emit("Table IV — study switch configurations", render_table(rows))
     by_type = {r["switch_type"]: r for r in rows}
     assert by_type["awgr"]["radix"] == 370

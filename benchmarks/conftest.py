@@ -1,10 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-figure modules.
 
-Every ``bench_*`` module regenerates one table or figure of the paper
-(see DESIGN.md's experiment index). Each benchmark both times the
-experiment (pytest-benchmark) and prints the regenerated rows/series
-next to the paper's reported values, so ``pytest benchmarks/
---benchmark-only -s`` doubles as the reproduction report.
+Every ``bench_*`` module regenerates one table, figure or ablation of
+the paper, prints the regenerated rows next to the paper's reported
+values, and asserts them, so ``pytest benchmarks -s`` doubles as the
+reproduction report. Tier-1 collects these modules with ``tests/``.
 """
 
 from __future__ import annotations

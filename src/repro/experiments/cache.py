@@ -59,19 +59,12 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created if missing).
-    max_entries:
-        Optional size cap. When set, storing a new entry evicts the
-        least-recently-used files (by mtime — loads touch their entry)
-        until the cap holds. ``None`` (default) means unbounded.
+        Cache directory (created if missing). Entries stay until
+        :meth:`clear` removes them.
     """
 
-    def __init__(self, root: str | os.PathLike,
-                 max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.max_entries = max_entries
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, task: SweepTask) -> Path:
@@ -99,10 +92,6 @@ class ResultCache:
                     encode_metrics(dict(task.config)))
                 or entry.get("seed") != task.seed):
             return None
-        try:
-            os.utime(path)  # mark recently used for LRU eviction
-        except OSError:
-            pass
         return entry["metrics"]
 
     def store(self, task: SweepTask, metrics: dict) -> Path:
@@ -125,26 +114,13 @@ class ResultCache:
         except BaseException:
             os.unlink(tmp)
             raise
-        self._evict()
         return path
-
-    def _evict(self) -> None:
-        """Drop least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return
-        entries = sorted(self.root.glob("*.json"),
-                         key=lambda p: p.stat().st_mtime_ns)
-        for path in entries[:max(0, len(entries) - self.max_entries)]:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
 
     def clear(self) -> int:
         """Delete every cache entry; returns how many were removed.
 
-        Tolerates entries another process removes concurrently (an
-        eviction or a clear racing this one), matching :meth:`_evict`.
+        Tolerates entries another process removes concurrently (a
+        clear racing this one).
         """
         removed = 0
         for path in self.root.glob("*.json"):

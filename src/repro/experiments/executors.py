@@ -10,7 +10,7 @@ discards tasks 1..N-1.
 Three executors cover the deployment spectrum:
 
 * :class:`InlineExecutor` — tasks run in this process, one by one.
-  Unit tests, pytest-benchmark timing, debugging.
+  Unit tests, the paper-figure modules, debugging.
 * :class:`ProcessPoolSweepExecutor` — ``concurrent.futures``
   fan-out with ``as_completed`` streaming. Exceptions raised *inside*
   a task are caught in the worker and come back as failed outcomes;
@@ -151,15 +151,13 @@ class ShardExecutor:
     shard_index, shard_count:
         This machine's slice of the grid (``0 <= index < count``).
     cache:
-        The *shared* result cache, used only to decide whether a
-        foreign task still needs stealing. ``None`` disables stealing
-        implicitly (there is no way to see other shards' progress).
-    steal:
-        After the owned slice, pick up foreign tasks that are not in
-        the shared cache yet (one at a time, re-checking the cache
-        before each, so duplicated work is bounded by one task per
-        straggler). With ``steal`` on, every shard eventually drives
-        the whole grid to completion on its own.
+        The *shared* result cache. After the owned slice the shard
+        steals the foreign tasks that are not in it yet (one at a
+        time, re-checking the cache before each, so duplicated work
+        is bounded by one task per straggler), so every shard
+        eventually drives the whole grid to completion on its own.
+        ``None`` runs the owned slice only: there is no way to see
+        other shards' progress.
     force:
         Honor a force-refresh run: stolen foreign tasks are
         recomputed without consulting the cache, matching the
@@ -170,7 +168,6 @@ class ShardExecutor:
     shard_index: int
     shard_count: int
     cache: object | None = None
-    steal: bool = True
     force: bool = False
 
     def __post_init__(self) -> None:
@@ -187,7 +184,7 @@ class ShardExecutor:
         foreign = [t for t in tasks
                    if shard_of(t, self.shard_count) != self.shard_index]
         yield from self.inner.run(owned)
-        if not self.steal or self.cache is None:
+        if self.cache is None:
             return
         for task in foreign:
             hit = None if self.force else self.cache.load(task)

@@ -60,7 +60,7 @@ class SweepResult:
     workers: int = 1
     wall_s: float = 0.0
     #: Grid points the executor never produced — another shard owns
-    #: them and work-stealing was off (or had no cache to check).
+    #: them and there was no cache to steal through.
     skipped: list[dict] = field(default_factory=list)
 
     @property
@@ -131,8 +131,8 @@ class SweepRunner:
     ----------
     workers:
         Process-pool width. ``1`` (the default) executes inline in
-        this process — right for unit tests and pytest-benchmark
-        timing; pass >1 (or :func:`default_workers`) to fan out.
+        this process — right for unit tests and the paper-figure
+        modules; pass >1 (or :func:`default_workers`) to fan out.
     cache:
         Result cache; ``None`` disables caching entirely. Results are
         stored *as each task completes*, never buffered — an aborted

@@ -83,15 +83,14 @@ class PiggybackState:
         Ground-truth occupancy.
     update_period:
         Slots between status broadcasts. 1 = always-fresh state
-        (idealized); larger values inject staleness.
-    jitter:
-        Optional per-source phase offset so all sources do not refresh
-        on the same slot (more realistic piggybacking).
+        (idealized); larger values inject staleness, and each source
+        then broadcasts at a random phase offset drawn from
+        ``rng_seed``, so the sources do not all refresh on the same
+        slot.
     """
 
     allocator: WavelengthAllocator
     update_period: int = 1
-    jitter: bool = True
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -101,7 +100,7 @@ class PiggybackState:
         slots = self.allocator.planes * self.allocator.flows_per_wavelength
         self.board = OccupancyBoard(n, slots)
         rng = np.random.default_rng(self.rng_seed)
-        if self.jitter and self.update_period > 1:
+        if self.update_period > 1:
             self._phase = rng.integers(0, self.update_period, size=n)
         else:
             self._phase = np.zeros(n, dtype=int)

@@ -40,7 +40,7 @@ def as_generator(rng: SeedLike) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowBatch:
     """A set of flows as structure-of-arrays.
 
@@ -53,7 +53,9 @@ class FlowBatch:
     Batches are the one form traffic takes: generators emit them,
     the simulators' ``run``, ``offer_batch`` and every backend's
     ``step`` consume them, and :meth:`concat` joins them in order.
-    A batch is not iterable; code reads its arrays.
+    A batch is not iterable; code reads its arrays. Batches compare by
+    identity: a field-wise ``==`` over arrays has no single truth
+    value.
     """
 
     src: np.ndarray

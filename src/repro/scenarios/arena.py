@@ -22,8 +22,8 @@ match the fastest, and what would each carry inside the leanest
 contender's power budget.
 
 Entry points: ``python -m repro arena <scenario> --backends a,b,c``,
-the ``arena_frontiers`` sweep spec, and
-``benchmarks/bench_arena.py``.
+the ``arena_frontiers`` sweep spec, and perfbench's ``rack_arena``
+workload.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ from repro.scenarios.scenario import Scenario
 #: board, and AWGR occupancy and board arrays travel as compressed
 #: typed envelopes.
 #: v4: WSS switch assignments travel as compressed typed envelopes.
-SESSION_FORMAT = 4
+#: v5: event totals are derived from ``event_counts``, not stored.
+SESSION_FORMAT = 5
 
 #: Lifecycle states a session moves through. ``queued`` sessions sit
 #: in the pool's run queue (or have a suspend/fork pending), running
@@ -105,10 +106,8 @@ class Session:
     #: JSON-stable ``EpochReport.to_dict()`` payloads, one per epoch.
     reports: list = field(default_factory=list)
     #: Per-epoch ``[applied, ignored]`` event counts, aligned with
-    #: ``reports`` so recovery truncation can roll totals back.
+    #: ``reports`` so recovery truncation rolls the totals back.
     event_counts: list = field(default_factory=list)
-    events_applied: int = 0
-    events_ignored: int = 0
     #: epoch -> backend snapshot at that cursor position.
     checkpoints: dict = field(default_factory=dict)
     error: str | None = None
@@ -140,8 +139,7 @@ class Session:
         # the mutable containers also read) only under ``updated``.
         watch_guarded(
             self, self.updated,
-            write_attrs=("state", "cursor", "events_applied",
-                         "events_ignored", "error", "recoveries",
+            write_attrs=("state", "cursor", "error", "recoveries",
                          "suspend_requested", "_backend"),
             read_attrs=("reports", "event_counts", "checkpoints"))
 
@@ -174,6 +172,19 @@ class Session:
     @property
     def done(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @property
+    def events_applied(self) -> int:
+        """Scenario events applied over the computed epochs."""
+        with self.updated:
+            return sum(applied for applied, _ in self.event_counts)
+
+    @property
+    def events_ignored(self) -> int:
+        """Scenario events the backend ignored over the computed
+        epochs."""
+        with self.updated:
+            return sum(ignored for _, ignored in self.event_counts)
 
     def _backend_at(self, epoch: int):
         """A fresh backend at epoch cursor ``epoch``.
@@ -244,8 +255,6 @@ class Session:
                 self.reports.append(payload)
                 self.event_counts.append([delta.events_applied,
                                           delta.events_ignored])
-                self.events_applied += delta.events_applied
-                self.events_ignored += delta.events_ignored
                 self.cursor = epoch + 1
                 if (self.cursor % self.checkpoint_epochs == 0
                         or self.cursor == self.n_epochs):
@@ -278,11 +287,7 @@ class Session:
             dropped = self.cursor - back_to
             if dropped:
                 del self.reports[back_to:]
-                rolled = self.event_counts[back_to:]
                 del self.event_counts[back_to:]
-                for applied, ignored in rolled:
-                    self.events_applied -= applied
-                    self.events_ignored -= ignored
                 self.cursor = back_to
             self.recoveries += 1
             self.updated.notify_all()
@@ -353,8 +358,6 @@ class Session:
             "cursor": self.cursor,
             "reports": [dict(r) for r in self.reports],
             "event_counts": [list(c) for c in self.event_counts],
-            "events_applied": self.events_applied,
-            "events_ignored": self.events_ignored,
             "checkpoints": {str(epoch): snap for epoch, snap
                             in sorted(self.checkpoints.items())},
             "error": self.error,
@@ -380,8 +383,6 @@ class Session:
             cursor=int(record["cursor"]),
             reports=[dict(r) for r in record["reports"]],
             event_counts=[list(c) for c in record["event_counts"]],
-            events_applied=int(record["events_applied"]),
-            events_ignored=int(record["events_ignored"]),
             checkpoints={int(epoch): snap for epoch, snap
                          in record["checkpoints"].items()},
             error=record.get("error"),
@@ -450,8 +451,6 @@ class Session:
             cursor=at_epoch,
             reports=carried["reports"],
             event_counts=carried["event_counts"],
-            events_applied=sum(c[0] for c in carried["event_counts"]),
-            events_ignored=sum(c[1] for c in carried["event_counts"]),
             checkpoints={at_epoch: json_roundtrip(snapshot)},
             parent=self.session_id,
             forked_at=at_epoch)

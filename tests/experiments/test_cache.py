@@ -1,10 +1,7 @@
-"""ResultCache: size cap, LRU eviction, version guard, clear races."""
+"""ResultCache: unbounded store, version guard, clear races."""
 
 import json
-import os
 from pathlib import Path
-
-import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.spec import ExperimentSpec
@@ -25,56 +22,12 @@ def tasks(n):
     return spec.tasks()
 
 
-def set_mtimes(cache, paths):
-    """Give entries strictly increasing, well-separated mtimes."""
-    base = 1_000_000_000
-    for i, path in enumerate(paths):
-        os.utime(path, (base + i, base + i))
-
-
-class TestMaxEntries:
-    def test_default_is_unbounded(self, tmp_path):
+class TestUnbounded:
+    def test_store_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)
         for task in tasks(10):
             cache.store(task, {"value": 1})
         assert len(cache) == 10
-
-    def test_invalid_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)
-
-    def test_store_evicts_oldest_beyond_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=3)
-        all_tasks = tasks(4)
-        paths = [cache.store(task, {"value": i})
-                 for i, task in enumerate(all_tasks[:3])]
-        set_mtimes(cache, paths)
-        cache.store(all_tasks[3], {"value": 3})
-        assert len(cache) == 3
-        # The oldest entry went first.
-        assert cache.load(all_tasks[0]) is None
-        assert cache.load(all_tasks[3]) == {"value": 3}
-
-    def test_load_refreshes_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        a, b, c = tasks(3)
-        path_a = cache.store(a, {"value": 0})
-        path_b = cache.store(b, {"value": 1})
-        set_mtimes(cache, [path_a, path_b])
-        # Touch a: now b is the least recently used.
-        assert cache.load(a) == {"value": 0}
-        cache.store(c, {"value": 2})
-        assert cache.load(b) is None
-        assert cache.load(a) == {"value": 0}
-        assert cache.load(c) == {"value": 2}
-
-    def test_cap_one_keeps_only_newest(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=1)
-        all_tasks = tasks(3)
-        for i, task in enumerate(all_tasks):
-            cache.store(task, {"value": i})
-        assert len(cache) == 1
-        assert cache.load(all_tasks[-1]) == {"value": 2}
 
 
 class TestVersionGuard:
@@ -118,8 +71,8 @@ class TestClearRace:
         lost = []
 
         def racing_unlink(self, missing_ok=False):
-            # Another process (an eviction, a concurrent clear) beat
-            # us to the first entry.
+            # Another process (a concurrent clear) beat us to the
+            # first entry.
             if not lost:
                 lost.append(self)
                 real_unlink(self)

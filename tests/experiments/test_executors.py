@@ -117,12 +117,11 @@ class TestShardExecutor:
             ShardExecutor(inner=InlineExecutor(), shard_index=2,
                           shard_count=2)
 
-    def test_without_steal_runs_owned_slice_only(self, tmp_path):
+    def test_without_steal_runs_owned_slice_only(self):
+        # No shared cache, nothing to steal through.
         tasks = make_tasks(8)
         executor = ShardExecutor(inner=InlineExecutor(), shard_index=0,
-                                 shard_count=2,
-                                 cache=ResultCache(tmp_path),
-                                 steal=False)
+                                 shard_count=2)
         done = {t.config["x"] for t, o in executor.run(tasks) if o.ok}
         assert done == {t.config["x"] for t in tasks
                         if shard_of(t, 2) == 0}

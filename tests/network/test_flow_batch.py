@@ -129,6 +129,13 @@ class TestFlowBatch:
         with pytest.raises(TypeError):
             iter(uniform_batch(8, 5, rng=0))
 
+    def test_equality_is_identity(self):
+        # A field-wise ``==`` over the arrays raises for batches of
+        # more than one flow; batches compare by identity instead.
+        batch = uniform_batch(8, 3, rng=1)
+        assert batch == batch
+        assert (batch == uniform_batch(8, 3, rng=1)) is False
+
     def test_concat_reinterns_kinds(self):
         a = uniform_batch(8, 4, rng=0)
         b = hotspot_batch(8, 2, 3, rng=0)

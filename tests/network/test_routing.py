@@ -24,8 +24,7 @@ def make_router(n_nodes=6, planes=2, flows_per_wavelength=1,
                                 flows_per_wavelength=flows_per_wavelength)
     state = None
     if update_period is not None:
-        state = PiggybackState(alloc, update_period=update_period,
-                               jitter=False)
+        state = PiggybackState(alloc, update_period=update_period)
     return cls(alloc, state=state, rng_seed=seed), alloc, state
 
 
@@ -257,7 +256,6 @@ def fabrics(draw) -> dict:
                                max_size=planes - 1)),
         # None routes on perfect information (no boards).
         "period": draw(st.one_of(st.none(), st.integers(1, 10**6))),
-        "jitter": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "fill": draw(st.floats(0.0, 1.0)),
         "hot": draw(st.integers(0, n - 1)),
@@ -278,7 +276,6 @@ def build_fabric(fabric: dict):
     state = None
     if fabric["period"] is not None:
         state = PiggybackState(alloc, update_period=fabric["period"],
-                               jitter=fabric["jitter"],
                                rng_seed=fabric["seed"])
     rng = np.random.default_rng(fabric["seed"])
     filled = np.nonzero(rng.random((n, n)) < fabric["fill"])

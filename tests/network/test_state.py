@@ -49,12 +49,16 @@ class TestPiggybackState:
         assert state.max_staleness() == 0
 
     def test_staleness_grows_between_updates(self, alloc):
-        state = PiggybackState(alloc, update_period=5, jitter=False)
-        alloc.allocate(0, 1, slots=40)
-        state.step()  # t=1: no broadcast (period 5)
+        state = PiggybackState(alloc, update_period=5)
+        # A source whose jittered phase is not due at t=1.
+        src = next(s for s in range(alloc.n_nodes)
+                   if (1 + state._phase[s]) % 5)
+        dst = (src + 1) % alloc.n_nodes
+        alloc.allocate(src, dst, slots=40)
+        state.step()  # t=1: src does not broadcast
         board = state.board_of(2)
-        # View still thinks 0->1 is free.
-        assert board.believed_free(0, 1)
+        # View still thinks src->dst is free.
+        assert board.believed_free(src, dst)
         assert state.max_staleness() >= 1
 
     def test_update_propagates(self, alloc):
@@ -64,7 +68,7 @@ class TestPiggybackState:
         assert not state.board_of(3).believed_free(0, 1)
 
     def test_broadcast_all(self, alloc):
-        state = PiggybackState(alloc, update_period=100, jitter=False)
+        state = PiggybackState(alloc, update_period=100)
         alloc.allocate(1, 2, slots=40)
         state.broadcast_all()
         assert not state.board_of(4).believed_free(1, 2)
@@ -79,6 +83,5 @@ class TestPiggybackState:
         assert state.piggyback_overhead_fraction() < 1e-5
 
     def test_jitter_spreads_phases(self, alloc):
-        state = PiggybackState(alloc, update_period=7, jitter=True,
-                               rng_seed=1)
+        state = PiggybackState(alloc, update_period=7, rng_seed=1)
         assert len(set(int(p) for p in state._phase)) > 1

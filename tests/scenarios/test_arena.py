@@ -14,12 +14,37 @@ from repro.scenarios.library import get_scenario
 
 SEED = 5
 
+#: diurnal_cori raced for 16 epochs, so its noon plane failure (epoch
+#: 12) fires inside the race.
+CORI_EPOCHS = 16
+CORI_SEED = 7
+
 
 @pytest.fixture(scope="module")
 def arena():
     """One full-field race over the demo scenario, shared by the
     equivalence assertions below."""
     return run_arena(get_scenario("demo"), seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def cori_arena():
+    """One full-field race over diurnal_cori through its plane
+    failure."""
+    scenario = get_scenario("diurnal_cori").with_epochs(CORI_EPOCHS)
+    return scenario, run_arena(scenario, seed=CORI_SEED)
+
+
+def assert_matches_solo(arena, scenario, name, seed):
+    """Backend ``name``'s raced stream equals its solo run."""
+    solo = ScenarioRunner(
+        scenario,
+        make_backend(name, scenario.n_nodes, seed=seed),
+    ).run(seed=seed)
+    raced = arena.reports[name]
+    assert ([e.to_dict() for e in raced.epochs]
+            == [e.to_dict() for e in solo.epochs])
+    assert raced.as_dict() == solo.as_dict()
 
 
 class TestOnePassEquivalence:
@@ -32,15 +57,13 @@ class TestOnePassEquivalence:
         epoch across contenders changes nothing — each backend's
         report stream is bit-identical to its own solo
         ScenarioRunner run."""
-        scenario = get_scenario("demo")
-        solo = ScenarioRunner(
-            scenario,
-            make_backend(name, scenario.n_nodes, seed=SEED),
-        ).run(seed=SEED)
-        raced = arena.reports[name]
-        assert ([e.to_dict() for e in raced.epochs]
-                == [e.to_dict() for e in solo.epochs])
-        assert raced.as_dict() == solo.as_dict()
+        assert_matches_solo(arena, get_scenario("demo"), name, SEED)
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_bit_identical_through_a_plane_failure(self, cori_arena,
+                                                   name):
+        scenario, arena = cori_arena
+        assert_matches_solo(arena, scenario, name, CORI_SEED)
 
     def test_events_applied_per_capability(self, arena):
         # demo scripts one fail_plane event: honoured by plane-aware

@@ -267,6 +267,32 @@ def sustained_scenario(n_epochs=9):
         ))
 
 
+def flapping_plane_scenario(n_epochs=48):
+    """A saturating hotspot under an event-dense failure script.
+
+    The 125 Gbps hotspot flows take one whole plane of their pair's
+    direct budget and stay resident across epochs, and plane 0 fails
+    every four epochs and is repaired two epochs later, so every chunk
+    boundary cuts through in-flight flows and a failed plane.
+    """
+    events = []
+    for epoch in range(0, n_epochs, 4):
+        events.append(ScenarioEvent(epoch=epoch, action="fail_plane",
+                                    value=0))
+        if epoch + 2 < n_epochs:
+            events.append(ScenarioEvent(epoch=epoch + 2,
+                                        action="repair_plane", value=0))
+    return Scenario(
+        name="flapping_plane", n_nodes=12, n_epochs=n_epochs,
+        episodes=(
+            Episode(kind="uniform",
+                    flows={"dist": "poisson", "mean": 16}, gbps=25.0),
+            Episode(kind="hotspot", flows=8, gbps=125.0,
+                    params={"hotspot": 0}),
+        ),
+        events=tuple(events))
+
+
 class TestCarryBoundaries:
     """Tentpole acceptance: carry-mode chunked replays are bit-exact."""
 
@@ -290,21 +316,25 @@ class TestCarryBoundaries:
                     (scenario.name, backend)
 
     def test_carry_exact_where_reset_drifts(self):
-        # The bug this PR fixes: under sustained load, reset-mode
-        # boundaries drop in-flight flows and the merged aggregates
-        # drift from the monolithic run; carry mode must not.
-        scenario = sustained_scenario()
-        mono = ScenarioRunner(
-            scenario, make_backend("awgr", scenario.n_nodes, seed=0),
-        ).run(seed=0).as_dict()
-        carry = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=3,
-            boundary="carry", base_seed=0).run().report().as_dict()
-        reset = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=3,
-            boundary="reset", base_seed=0).run().report().as_dict()
-        assert carry == mono
-        assert reset != mono  # the drift carry mode exists to remove
+        # Under sustained load, reset-mode boundaries drop in-flight
+        # flows and the merged aggregates drift from the monolithic
+        # run; carry mode must not.
+        for scenario, chunk_epochs, seed in (
+                (sustained_scenario(), 3, 0),
+                (flapping_plane_scenario(), 8, 13)):
+            mono = ScenarioRunner(
+                scenario,
+                make_backend("awgr", scenario.n_nodes, seed=seed),
+            ).run(seed=seed)
+            carry, reset = (
+                ShardedScenarioRunner(
+                    scenario, "awgr", chunk_epochs=chunk_epochs,
+                    boundary=boundary, base_seed=seed).run().report()
+                for boundary in ("carry", "reset"))
+            assert carry.as_dict() == mono.as_dict(), scenario.name
+            assert carry.rows() == mono.rows(), scenario.name
+            # The drift carry mode exists to remove.
+            assert reset.as_dict() != mono.as_dict(), scenario.name
 
     def test_carry_chunk_size_invariance(self):
         scenario = sustained_scenario()

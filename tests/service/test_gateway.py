@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -120,6 +121,34 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as err:
             client.session(session_id)
         assert err.value.status == 404
+
+
+class TestConcurrentSessions:
+    @pytest.mark.parametrize("n_sessions", [1, 8, 32])
+    def test_every_session_streams_its_full_horizon(self, n_sessions):
+        """``n_sessions`` clients at once on a 4-worker gateway: every
+        session completes, and each stream equals a direct
+        ScenarioRunner run of its seed."""
+        scenario = wire_scenario(n_epochs=12)
+        gateway = ServiceGateway(SessionPool(workers=4, slice_epochs=4))
+        gateway.start()
+
+        def drive(seed):
+            client = ServiceClient(gateway.url, timeout=120.0)
+            session_id = client.submit(scenario.to_config(),
+                                       base_seed=seed)["id"]
+            epochs = client.stream_epochs(session_id)
+            return epochs, client.session(session_id)["state"]
+
+        seeds = range(17, 17 + n_sessions)
+        try:
+            with ThreadPoolExecutor(max_workers=n_sessions) as clients:
+                streams = list(clients.map(drive, seeds, timeout=300.0))
+        finally:
+            gateway.stop()
+        for seed, (epochs, state) in zip(seeds, streams):
+            assert state == "completed"
+            assert epochs == reference_payloads(scenario, seed=seed)
 
 
 class TestErrors:
