@@ -17,10 +17,11 @@ beats the other's by a fixed floor:
 The file name matches none of ``pytest.ini``'s ``python_files``
 patterns, so ``pytest`` collects it only when named on the command
 line, never in the tier-1 run. A ratio of two sub-second wall-clock
-samples depends on what else the machine is running: the arena ratio
-takes one sample of 17–110 ms per path, and ten runs on a 2-core
-machine read from 1.1 to 1.8 against its floor of 1.0. Run the floors
-on their own::
+samples depends on what else the machine is running, so the arena,
+admission and epoch-loop floors compare the fastest of several
+samples per path: the arena ratio alternates ``ARENA_REPEATS`` serial
+and one-pass samples of tens of milliseconds each. Run the floors on
+their own::
 
     PYTHONPATH=src python -m pytest -q benchmarks/timing_floors.py
 
@@ -60,10 +61,16 @@ ARENA_SCENARIOS = ("demo", "diurnal_cori")
 ARENA_EPOCHS = 16
 ARENA_SEED = 7
 
+#: Samples per path. The serial runs and the arena pass alternate,
+#: and each path keeps its fastest sample: the one the rest of the
+#: machine disturbed least.
+ARENA_REPEATS = 5
+
 
 def _race(name: str) -> dict:
-    """Serial runs and one arena pass over one scenario, checked
-    bit-identical per backend."""
+    """Serial runs and one arena pass over one scenario, best of
+    ``ARENA_REPEATS`` each, checked bit-identical per backend on every
+    repeat."""
     from repro.scenarios import (
         ScenarioRunner,
         available_backends,
@@ -73,24 +80,25 @@ def _race(name: str) -> dict:
     from repro.scenarios.library import get_scenario
 
     scenario = get_scenario(name).with_epochs(ARENA_EPOCHS)
-    solo = {}
-    serial_s = 0.0
-    for backend in available_backends():
+    serial_s = arena_s = float("inf")
+    for _ in range(ARENA_REPEATS):
+        solo = {}
         start = time.perf_counter()
-        solo[backend] = ScenarioRunner(
-            scenario,
-            make_backend(backend, scenario.n_nodes, seed=ARENA_SEED),
-        ).run(seed=ARENA_SEED)
-        serial_s += time.perf_counter() - start
+        for backend in available_backends():
+            solo[backend] = ScenarioRunner(
+                scenario,
+                make_backend(backend, scenario.n_nodes, seed=ARENA_SEED),
+            ).run(seed=ARENA_SEED)
+        serial_s = min(serial_s, time.perf_counter() - start)
 
-    start = time.perf_counter()
-    arena = run_arena(scenario, seed=ARENA_SEED)
-    arena_s = time.perf_counter() - start
+        start = time.perf_counter()
+        arena = run_arena(scenario, seed=ARENA_SEED)
+        arena_s = min(arena_s, time.perf_counter() - start)
 
-    for backend, alone in solo.items():
-        raced = [e.to_dict() for e in arena.reports[backend].epochs]
-        assert raced == [e.to_dict() for e in alone.epochs], (
-            f"one-pass arena diverged from the solo {backend} run")
+        for backend, alone in solo.items():
+            raced = [e.to_dict() for e in arena.reports[backend].epochs]
+            assert raced == [e.to_dict() for e in alone.epochs], (
+                f"one-pass arena diverged from the solo {backend} run")
     iso_performance = arena.iso_performance()
     iso_power = arena.iso_power()
     assert len(iso_performance) >= 2

@@ -1,69 +1,14 @@
 """``repro.checks`` — AST-based invariant linting for the simulator.
 
-The repo's three load-bearing invariants (complete JSON-stable
+The repo's load-bearing invariants (complete JSON-stable
 ``snapshot()``/``restore()`` pairs, seeded-generator-only randomness,
-full protocol conformance for backends and executors) are enforced
-statically by the rules in :mod:`repro.checks.rules`, run over the
-source tree by :func:`run_checks`, gated in CI through the committed
-baseline in ``repro-check.baseline.json``, and exposed on the command
-line as ``repro check``.
+full protocol conformance for backends and executors, lock discipline
+and vectorized-twin conformance) are enforced statically by the rules
+in :mod:`repro.checks.rules`, run over the source tree by
+:func:`repro.checks.engine.run_checks`, and exposed on the command
+line as ``repro check``, which fails on any finding or parse error.
+:mod:`repro.checks.runtime` is the lock sanitizer the service imports.
+
+This package module imports nothing, so importing the sanitizer loads
+none of the linter.
 """
-
-from repro.checks.baseline import (
-    DEFAULT_BASELINE,
-    BaselineComparison,
-    compare,
-    load_baseline,
-    write_baseline,
-)
-from repro.checks.concurrency import ModuleSummary, ProjectIndex
-from repro.checks.context import ModuleContext
-from repro.checks.engine import (
-    STALE_SUPPRESSION_RULE,
-    CheckReport,
-    ParseError,
-    check_file,
-    check_source,
-    display_path,
-    iter_python_files,
-    run_checks,
-)
-from repro.checks.findings import Finding
-from repro.checks.report import render_json, render_rules, render_text
-from repro.checks.rules import (
-    PROJECT_RULES,
-    RULES,
-    ProjectRule,
-    Rule,
-    register,
-    register_project,
-)
-
-__all__ = [
-    "BaselineComparison",
-    "CheckReport",
-    "DEFAULT_BASELINE",
-    "Finding",
-    "ModuleContext",
-    "ModuleSummary",
-    "ParseError",
-    "PROJECT_RULES",
-    "ProjectIndex",
-    "ProjectRule",
-    "RULES",
-    "Rule",
-    "STALE_SUPPRESSION_RULE",
-    "check_file",
-    "check_source",
-    "compare",
-    "display_path",
-    "iter_python_files",
-    "load_baseline",
-    "register",
-    "register_project",
-    "render_json",
-    "render_rules",
-    "render_text",
-    "run_checks",
-    "write_baseline",
-]

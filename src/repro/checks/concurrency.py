@@ -1,14 +1,13 @@
-"""Pass-1 concurrency index: a picklable, AST-free module summary.
+"""Pass-1 concurrency index: an AST-free module summary.
 
 The two-pass engine parses each file once and boils it down to a
 :class:`ModuleSummary` — classes, methods, every attribute access with
 the set of locks lexically held at that point, lock-object attributes,
 ``threading.Thread`` targets, waits/notifies, and the module's name
 surface (used by SIM006 as twin-test evidence). Summaries hold no AST
-nodes, so ``--jobs N`` can build them in worker processes and ship
-them back through pickle; pass 2 (:mod:`repro.checks.rules.locks`,
-:mod:`repro.checks.rules.twins`) runs over the merged
-:class:`ProjectIndex`.
+nodes, so a file's tree is dropped as soon as pass 1 is done with it.
+Pass 2 (:mod:`repro.checks.rules.locks`, :mod:`repro.checks.rules.twins`)
+runs over the merged :class:`ProjectIndex`.
 
 Lock tracking is lexical and name-based: any plain dotted expression
 used as a ``with`` context (``with self._lock:``, ``with
@@ -163,10 +162,6 @@ class ModuleSummary:
     #: ``Thread(target=...)`` targets that are not ``self.<m>``:
     #: trailing attribute or bare function names, resolved by pass 2.
     thread_target_names: list[str] = field(default_factory=list)
-    #: line -> suppressed rule tokens, mirrored off the ModuleContext
-    #: so project findings honor the anchoring file's directives.
-    suppressions: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    file_suppressions: tuple[str, ...] = ()
 
 
 def is_test_path(path: str) -> bool:
@@ -395,15 +390,10 @@ def _name_surface(tree: ast.Module) -> frozenset:
 
 
 def build_summary(tree: ast.Module, path: str,
-                  suppressions: dict[int, set[str]] | None = None,
-                  file_suppressions: set[str] | None = None,
                   index_only: bool = False) -> ModuleSummary:
     """Build the pass-1 summary for one parsed module."""
-    summary = ModuleSummary(
-        path=path, is_test=is_test_path(path), index_only=index_only,
-        suppressions={line: tuple(sorted(rules)) for line, rules
-                      in (suppressions or {}).items()},
-        file_suppressions=tuple(sorted(file_suppressions or ())))
+    summary = ModuleSummary(path=path, is_test=is_test_path(path),
+                            index_only=index_only)
     functions: set[str] = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -457,12 +447,6 @@ class ProjectIndex:
         self.classes: dict[str, list] = {}
         #: method name -> [(module, class)] over non-test modules.
         self.method_owners: dict[str, list] = {}
-        #: guarded attr name -> [(module, class, lock attrs)] — built
-        #: lazily by SIM005 via :meth:`set_guard_table`.
-        self._directives: dict[str, tuple] = {}
-        for mod in modules:
-            self._directives[mod.path] = (mod.suppressions,
-                                          mod.file_suppressions)
         for mod in self.source_modules:
             for cls in mod.classes:
                 self.classes.setdefault(cls.name, []).append((mod, cls))
@@ -477,7 +461,3 @@ class ProjectIndex:
         — cross-class reasoning only follows edges it can prove."""
         owners = self.method_owners.get(name, [])
         return owners[0] if len(owners) == 1 else None
-
-    def directives_for(self, path: str):
-        """(line suppressions, file suppressions) of a summarized file."""
-        return self._directives.get(path, ({}, ()))

@@ -1,20 +1,15 @@
-"""Per-file context handed to every rule: AST plus comment directives.
+"""Per-file context handed to every rule: AST plus SIM001 markers.
 
-Directive comments (parsed with :mod:`tokenize`, so strings that merely
+Marker comments (parsed with :mod:`tokenize`, so strings that merely
 *contain* the text don't count):
 
-``# repro-check: disable=SIM001`` (or ``disable=SIM001,PY001`` /
-``disable=all``)
-    Suppress those rules' findings anchored to this line.
-
-``# repro-check: disable-file=SIM002``
-    Suppress a rule for the whole file, wherever the comment sits.
-
 ``# repro-check: config`` / ``# repro-check: derived``
-    Semantic markers for SIM001 — the attribute assigned on this line
-    is configuration (never mutated after construction) or derived
-    (recomputable from config), so it legitimately stays out of
+    The attribute assigned on this line is configuration (never
+    mutated after construction) or derived (recomputable from
+    config), so it legitimately stays out of
     ``snapshot()``/``restore()``.
+
+Any other ``repro-check:`` clause is ignored.
 """
 
 from __future__ import annotations
@@ -32,39 +27,24 @@ DIRECTIVE_PREFIX = "repro-check:"
 MARKERS = ("config", "derived")
 
 
-def parse_directives(source: str) -> tuple[dict[int, set[str]],
-                                           dict[int, set[str]],
-                                           set[str]]:
-    """Extract (line suppressions, line markers, file suppressions)."""
-    suppressions: dict[int, set[str]] = {}
+def parse_markers(source: str) -> dict[int, set[str]]:
+    """Line -> the :data:`MARKERS` its ``repro-check:`` comment names."""
     markers: dict[int, set[str]] = {}
-    file_suppressions: set[str] = set()
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [t for t in tokens if t.type == tokenize.COMMENT]
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        return suppressions, markers, file_suppressions
+        return markers
     for tok in comments:
         text = tok.string.lstrip("#").strip()
         if not text.startswith(DIRECTIVE_PREFIX):
             continue
         body = text[len(DIRECTIVE_PREFIX):].strip()
-        line = tok.start[0]
         for clause in body.split(";"):
             clause = clause.strip()
-            if clause.startswith("disable-file="):
-                file_suppressions.update(
-                    r.strip().upper()
-                    for r in clause[len("disable-file="):].split(",")
-                    if r.strip())
-            elif clause.startswith("disable="):
-                suppressions.setdefault(line, set()).update(
-                    r.strip().upper()
-                    for r in clause[len("disable="):].split(",")
-                    if r.strip())
-            elif clause in MARKERS:
-                markers.setdefault(line, set()).add(clause)
-    return suppressions, markers, file_suppressions
+            if clause in MARKERS:
+                markers.setdefault(tok.start[0], set()).add(clause)
+    return markers
 
 
 @dataclass
@@ -74,18 +54,14 @@ class ModuleContext:
     path: str
     source: str
     tree: ast.Module
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
     markers: dict[int, set[str]] = field(default_factory=dict)
-    file_suppressions: set[str] = field(default_factory=set)
 
     @classmethod
     def parse(cls, source: str, path: str) -> "ModuleContext":
         """Build a context; propagates ``SyntaxError`` on bad source."""
         tree = ast.parse(source, filename=path)
-        suppressions, markers, file_suppressions = parse_directives(source)
         return cls(path=path, source=source, tree=tree,
-                   suppressions=suppressions, markers=markers,
-                   file_suppressions=file_suppressions)
+                   markers=parse_markers(source))
 
     def finding(self, rule: str, node: ast.AST, key: str,
                 message: str) -> Finding:
@@ -94,11 +70,6 @@ class ModuleContext:
                        line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0),
                        rule=rule, key=key, message=message)
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        rules = (self.suppressions.get(finding.line, set())
-                 | self.file_suppressions)
-        return finding.rule.upper() in rules or "ALL" in rules
 
     def marker_in_range(self, node: ast.AST, *names: str) -> bool:
         """True if any requested marker sits on a line ``node`` spans."""

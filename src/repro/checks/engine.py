@@ -1,32 +1,24 @@
-"""File discovery, two-pass rule dispatch, suppression filtering.
+"""File discovery and two-pass rule dispatch.
 
 Pass 1 parses each file once into a
 :class:`~repro.checks.context.ModuleContext`, runs every selected
-per-file rule, and boils the AST down to a picklable
-:class:`~repro.checks.concurrency.ModuleSummary`. Pass 1 is
-embarrassingly parallel: ``jobs > 1`` fans files out over a
-``ProcessPoolExecutor``. Pass 2 merges the summaries into a
-:class:`~repro.checks.concurrency.ProjectIndex` and runs the
-project-wide rules (SIM005/SIM006) over it.
+per-file rule, and boils the AST down to a
+:class:`~repro.checks.concurrency.ModuleSummary`. Pass 2 merges the
+summaries into a :class:`~repro.checks.concurrency.ProjectIndex` and
+runs the project-wide rules (SIM005/SIM006) over it.
 
 ``index_paths`` name files that join the project index — feeding
 method resolution, thread seeds, and SIM006's twin-test evidence —
 without being checked themselves: findings never anchor on them.
 The CLI indexes ``tests/`` automatically for this reason.
 
-Files that fail to parse are reported as errors, never swallowed —
-the CI smoke that "the checker parses everything under ``src/``" is
-just a run whose error list must stay empty.
-
-With ``strict_suppressions``, every ``# repro-check: disable=RULE``
-directive that suppressed nothing (for a rule that actually ran) is
-itself reported as a SUP001 finding, so suppressions can't outlive
-the code they excused.
+Files that fail to parse are reported as errors, never swallowed, so
+a module no test imports still fails the gate when it stops parsing.
+Every finding counts: nothing grandfathers or silences one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,10 +28,6 @@ from repro.checks.concurrency import (ModuleSummary, ProjectIndex,
 from repro.checks.context import ModuleContext
 from repro.checks.findings import Finding
 from repro.checks.rules import PROJECT_RULES, RULES
-
-#: Engine-generated rule id for stale suppression directives
-#: (``--strict-suppressions``); not in any registry, never selectable.
-STALE_SUPPRESSION_RULE = "SUP001"
 
 
 @dataclass(frozen=True)
@@ -52,9 +40,6 @@ class ParseError:
     def render(self) -> str:
         return f"{self.path}: PARSE {self.message}"
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "message": self.message}
-
 
 @dataclass
 class CheckReport:
@@ -63,7 +48,6 @@ class CheckReport:
     findings: list[Finding] = field(default_factory=list)
     errors: list[ParseError] = field(default_factory=list)
     files: int = 0
-    suppressed: int = 0
     #: index-only files parsed for the project index (not checked).
     indexed: int = 0
 
@@ -71,7 +55,6 @@ class CheckReport:
         self.findings.extend(other.findings)
         self.errors.extend(other.errors)
         self.files += other.files
-        self.suppressed += other.suppressed
         self.indexed += other.indexed
 
 
@@ -116,232 +99,94 @@ def _selected_rules(rules: Sequence[str] | None):
             [PROJECT_RULES[r] for r in rules if r in PROJECT_RULES])
 
 
-def _match_suppression(suppressions, file_suppressions,
-                       finding: Finding):
-    """The (line, token) that suppresses ``finding``, or None.
-
-    Line 0 stands for a file-level ``disable-file=`` directive."""
-    line_rules = suppressions.get(finding.line, ())
-    rule = finding.rule.upper()
-    if rule in line_rules:
-        return (finding.line, rule)
-    if "ALL" in line_rules:
-        return (finding.line, "ALL")
-    if rule in file_suppressions:
-        return (0, rule)
-    if "ALL" in file_suppressions:
-        return (0, "ALL")
-    return None
-
-
-@dataclass
-class FileOutcome:
-    """Everything pass 1 learned about one file (picklable)."""
-
-    report: CheckReport
-    summary: ModuleSummary | None = None
-    #: (line, token) suppression directives that matched a finding.
-    used: list = field(default_factory=list)
-
-
-def _analyze_source(source: str, path: str,
-                    rule_names: tuple | None,
-                    index_only: bool = False) -> FileOutcome:
+def _analyze_source(source: str, path: str, file_rules,
+                    index_only: bool = False
+                    ) -> tuple[CheckReport, ModuleSummary | None]:
     """Pass 1 for one in-memory blob: per-file rules + summary."""
-    report = CheckReport(files=0 if index_only else 1,
-                         indexed=1 if index_only else 0)
+    report = CheckReport(files=int(not index_only),
+                         indexed=int(index_only))
     try:
         ctx = ModuleContext.parse(source, path)
     except SyntaxError as exc:
         report.errors.append(ParseError(
             path=path, message=f"{exc.msg} (line {exc.lineno})"))
-        return FileOutcome(report=report)
-    file_rules, _ = _selected_rules(rule_names)
-    used: list = []
-    if not index_only:
-        for rule in file_rules:
-            for finding in rule.check(ctx):
-                hit = _match_suppression(ctx.suppressions,
-                                         ctx.file_suppressions, finding)
-                if hit is not None:
-                    report.suppressed += 1
-                    used.append(hit)
-                else:
-                    report.findings.append(finding)
-    report.findings.sort()
-    summary = build_summary(ctx.tree, path,
-                            suppressions=ctx.suppressions,
-                            file_suppressions=ctx.file_suppressions,
-                            index_only=index_only)
-    return FileOutcome(report=report, summary=summary, used=used)
+        return report, None
+    for rule in file_rules:
+        report.findings.extend(rule.check(ctx))
+    return report, build_summary(ctx.tree, path, index_only=index_only)
 
 
-def _analyze_path(args: tuple) -> FileOutcome:
-    """Process-pool entry point: args = (shown, fs_path, rule_names,
-    index_only)."""
-    shown, fs_path, rule_names, index_only = args
+def _analyze_path(path: Path, file_rules, index_only: bool = False
+                  ) -> tuple[CheckReport, ModuleSummary | None]:
+    """Pass 1 for one file on disk; an unreadable file is an error."""
+    shown = display_path(path)
     try:
-        source = Path(fs_path).read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8")
     except OSError as exc:
-        report = CheckReport(files=0 if index_only else 1,
-                             indexed=1 if index_only else 0)
+        report = CheckReport(files=int(not index_only),
+                             indexed=int(index_only))
         report.errors.append(ParseError(path=shown, message=str(exc)))
-        return FileOutcome(report=report)
-    return _analyze_source(source, shown, rule_names,
+        return report, None
+    return _analyze_source(source, shown, file_rules,
                            index_only=index_only)
 
 
-def _run_project_rules(report: CheckReport,
-                       outcomes: list[FileOutcome],
-                       project_rules,
-                       used_by_path: dict) -> None:
-    """Pass 2: project rules over the merged index, suppression-aware."""
-    summaries = [o.summary for o in outcomes if o.summary is not None]
-    if not summaries or not project_rules:
-        return
-    project = ProjectIndex(summaries)
-    for rule in project_rules:
-        for finding in rule.check_project(project):
-            suppressions, file_suppressions = project.directives_for(
-                finding.path)
-            hit = _match_suppression(suppressions, file_suppressions,
-                                     finding)
-            if hit is not None:
-                report.suppressed += 1
-                used_by_path.setdefault(finding.path, set()).add(hit)
-            else:
-                report.findings.append(finding)
-
-
-def _stale_suppression_findings(outcomes: list[FileOutcome],
-                                used_by_path: dict,
-                                active_rules: set) -> list[Finding]:
-    """SUP001 findings for directives that suppressed nothing.
-
-    Only rule tokens that actually ran count — ``--select SIM005``
-    must not declare every SIM001 suppression stale. ``ALL`` tokens
-    are stale when no finding at all was suppressed there."""
-    findings: list[Finding] = []
-    for outcome in outcomes:
-        summary = outcome.summary
-        if summary is None or summary.index_only:
-            continue
-        used = used_by_path.get(summary.path, set())
-        for line, tokens in sorted(summary.suppressions.items()):
-            for token in tokens:
-                if token != "ALL" and token not in active_rules:
-                    continue
-                if (line, token) in used:
-                    continue
-                if token == "ALL" and any(l == line for l, _ in used):
-                    continue
-                findings.append(Finding(
-                    path=summary.path, line=line, col=0,
-                    rule=STALE_SUPPRESSION_RULE,
-                    key=f"stale:{token}@{line}",
-                    message=f"suppression disable={token} on line "
-                            f"{line} matched no finding — remove it "
-                            "or fix the annotation"))
-        for token in summary.file_suppressions:
-            if token != "ALL" and token not in active_rules:
-                continue
-            if (0, token) in used:
-                continue
-            if token == "ALL" and any(l == 0 for l, _ in used):
-                continue
-            findings.append(Finding(
-                path=summary.path, line=1, col=0,
-                rule=STALE_SUPPRESSION_RULE,
-                key=f"stale:disable-file={token}",
-                message=f"file-level suppression disable-file={token} "
-                        "matched no finding — remove it or fix the "
-                        "annotation"))
-    return findings
-
-
-def _finalize(report: CheckReport, outcomes: list[FileOutcome],
-              project_rules, active_rules: set,
-              strict_suppressions: bool) -> CheckReport:
-    used_by_path: dict = {}
-    for outcome in outcomes:
-        if outcome.summary is not None and outcome.used:
-            used_by_path.setdefault(
-                outcome.summary.path, set()).update(outcome.used)
-    _run_project_rules(report, outcomes, project_rules, used_by_path)
-    if strict_suppressions:
-        report.findings.extend(_stale_suppression_findings(
-            outcomes, used_by_path, active_rules))
+def _finish(report: CheckReport, summaries: list, project_rules
+            ) -> CheckReport:
+    """Pass 2: project rules over the merged index, then sort."""
+    summaries = [s for s in summaries if s is not None]
+    if summaries and project_rules:
+        project = ProjectIndex(summaries)
+        for rule in project_rules:
+            report.findings.extend(rule.check_project(project))
     report.findings.sort()
     return report
 
 
 def check_source(source: str, path: str,
                  rules: Sequence[str] | None = None,
-                 index_sources: dict | None = None,
-                 strict_suppressions: bool = False) -> CheckReport:
+                 index_sources: dict | None = None) -> CheckReport:
     """Run rules over one in-memory source blob (plus optional
     index-only companions, for twin-test evidence in tests)."""
-    rule_names = tuple(rules) if rules is not None else None
-    _, project_rules = _selected_rules(rule_names)
-    outcome = _analyze_source(source, path, rule_names)
-    report = outcome.report
-    outcomes = [outcome]
+    file_rules, project_rules = _selected_rules(rules)
+    report, summary = _analyze_source(source, path, file_rules)
+    summaries = [summary]
     for extra_path, extra_source in sorted(
             (index_sources or {}).items()):
-        extra = _analyze_source(extra_source, extra_path, rule_names,
-                                index_only=True)
-        report.extend(extra.report)
-        outcomes.append(extra)
-    active = {r.rule_id for r in _selected_rules(rule_names)[0]}
-    active |= {r.rule_id for r in project_rules}
-    return _finalize(report, outcomes, project_rules, active,
-                     strict_suppressions)
+        extra, extra_summary = _analyze_source(
+            extra_source, extra_path, (), index_only=True)
+        report.extend(extra)
+        summaries.append(extra_summary)
+    return _finish(report, summaries, project_rules)
 
 
 def check_file(path: str | Path,
                rules: Sequence[str] | None = None) -> CheckReport:
-    path = Path(path)
-    shown = display_path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        report = CheckReport(files=1)
-        report.errors.append(ParseError(path=shown, message=str(exc)))
-        return report
-    return check_source(source, shown, rules=rules)
+    file_rules, project_rules = _selected_rules(rules)
+    report, summary = _analyze_path(Path(path), file_rules)
+    return _finish(report, [summary], project_rules)
 
 
 def run_checks(paths: Iterable[str | Path],
                rules: Sequence[str] | None = None,
-               jobs: int = 1,
-               index_paths: Iterable[str | Path] = (),
-               strict_suppressions: bool = False) -> CheckReport:
+               index_paths: Iterable[str | Path] = ()) -> CheckReport:
     """Check every python file under ``paths``.
 
     ``index_paths`` files join the cross-module index without being
-    checked; ``jobs > 1`` parallelizes pass 1 across processes."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    rule_names = tuple(rules) if rules is not None else None
-    file_rules, project_rules = _selected_rules(rule_names)
+    checked."""
+    file_rules, project_rules = _selected_rules(rules)
     checked = iter_python_files(paths)
     checked_set = {p.resolve() for p in checked}
     index_only = [p for p in iter_python_files(index_paths)
                   if p.resolve() not in checked_set]
-    tasks = ([(display_path(p), str(p), rule_names, False)
-              for p in checked]
-             + [(display_path(p), str(p), rule_names, True)
-                for p in index_only])
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_path, tasks,
-                                     chunksize=8))
-    else:
-        outcomes = [_analyze_path(task) for task in tasks]
     report = CheckReport()
-    for outcome in outcomes:
-        report.extend(outcome.report)
-    active = {r.rule_id for r in file_rules}
-    active |= {r.rule_id for r in project_rules}
-    return _finalize(report, outcomes, project_rules, active,
-                     strict_suppressions)
+    summaries = []
+    for path in checked:
+        part, summary = _analyze_path(path, file_rules)
+        report.extend(part)
+        summaries.append(summary)
+    for path in index_only:
+        part, summary = _analyze_path(path, (), index_only=True)
+        report.extend(part)
+        summaries.append(summary)
+    return _finish(report, summaries, project_rules)

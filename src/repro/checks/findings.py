@@ -1,10 +1,10 @@
 """Findings: one rule violation at one source location.
 
 A finding's :attr:`~Finding.fingerprint` deliberately excludes the
-line number — baselines must survive unrelated edits that shift code
-around, so rules provide a *semantic* ``key`` (``Class.attr``, a
-dotted call name plus occurrence index, …) that only changes when the
-flagged construct itself does.
+line number: rules provide a *semantic* ``key`` (``Class.attr``, a
+dotted call name plus occurrence index, …) that names the flagged
+construct itself, so one construct reached along several paths is
+reported once (SIM005 dedups its findings by fingerprint).
 """
 
 from __future__ import annotations
@@ -25,19 +25,8 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
+        """Line-independent identity of the flagged construct."""
         return f"{self.rule}:{self.path}:{self.key}"
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "key": self.key,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

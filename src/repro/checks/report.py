@@ -1,59 +1,24 @@
-"""Text and JSON renderings of a check run."""
+"""Text rendering of a check run and of the rule catalog."""
 
 from __future__ import annotations
 
-import json
-
-from repro.checks.baseline import BaselineComparison
-from repro.checks.engine import STALE_SUPPRESSION_RULE, CheckReport
+from repro.checks.engine import CheckReport
 from repro.checks.rules import PROJECT_RULES, RULES
 
 
-def render_text(report: CheckReport, comparison: BaselineComparison,
-                verbose: bool = False) -> str:
-    lines: list[str] = []
-    for error in report.errors:
-        lines.append(error.render())
-    for finding in comparison.new:
-        lines.append(finding.render())
-    if verbose and comparison.baselined:
-        lines.append("-- baselined (not failing the gate) --")
-        lines.extend(f.render() for f in comparison.baselined)
-    for fingerprint in comparison.stale:
-        lines.append(f"stale baseline entry (no longer matches "
-                     f"anything): {fingerprint}")
-    summary = (f"{report.files} files checked: "
-               f"{len(comparison.new)} new finding(s), "
-               f"{len(comparison.baselined)} baselined, "
-               f"{report.suppressed} suppressed, "
-               f"{len(report.errors)} parse error(s)")
-    if comparison.stale:
-        summary += (f", {len(comparison.stale)} stale baseline "
-                    f"entr{'y' if len(comparison.stale) == 1 else 'ies'}"
-                    f" (refresh with --write-baseline)")
-    lines.append(summary)
+def render_text(report: CheckReport) -> str:
+    lines = [error.render() for error in report.errors]
+    lines.extend(finding.render() for finding in report.findings)
+    lines.append(f"{report.files} files checked: "
+                 f"{len(report.findings)} finding(s), "
+                 f"{len(report.errors)} parse error(s)")
     return "\n".join(lines)
-
-
-def render_json(report: CheckReport,
-                comparison: BaselineComparison) -> str:
-    payload = {
-        "files": report.files,
-        "suppressed": report.suppressed,
-        "errors": [e.to_dict() for e in report.errors],
-        "findings": [f.to_dict() for f in comparison.new],
-        "baselined": [f.to_dict() for f in comparison.baselined],
-        "stale_baseline": list(comparison.stale),
-    }
-    return json.dumps(payload, indent=2)
 
 
 def render_rules() -> str:
     """The rule catalog, one line per rule."""
     catalog = {rule_id: rule.summary
                for rule_id, rule in {**RULES, **PROJECT_RULES}.items()}
-    catalog[STALE_SUPPRESSION_RULE] = (
-        "stale suppression directives (via --strict-suppressions)")
     width = max(len(rule_id) for rule_id in catalog)
     return "\n".join(f"{rule_id:<{width}}  {summary}"
                      for rule_id, summary in sorted(catalog.items()))

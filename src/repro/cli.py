@@ -448,10 +448,11 @@ def _cmd_submit(args: argparse.Namespace) -> None:
 def _cmd_check(args: argparse.Namespace) -> None:
     from pathlib import Path
 
-    from repro import checks
+    from repro.checks.engine import run_checks
+    from repro.checks.report import render_rules, render_text
 
     if args.list_rules:
-        print(checks.render_rules())
+        print(render_rules())
         return
     paths = args.paths
     if not paths:
@@ -469,34 +470,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if tests_dir.is_dir():
         index_paths.append(tests_dir)
     try:
-        report = checks.run_checks(
-            paths, rules=([] if args.parse_only else rules),
-            jobs=args.jobs, index_paths=index_paths,
-            strict_suppressions=args.strict_suppressions)
+        report = run_checks(paths, rules=rules, index_paths=index_paths)
     except KeyError as exc:
         raise SystemExit(f"check: {exc.args[0]}") from None
-    if args.parse_only:
-        for error in report.errors:
-            print(error.render())
-        print(f"{report.files} files parsed, "
-              f"{len(report.errors)} error(s)")
-        if report.errors:
-            raise SystemExit(1)
-        return
-    if args.write_baseline:
-        checks.write_baseline(args.baseline, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to "
-              f"{args.baseline}")
-        return
-    baseline = (checks.load_baseline(args.baseline)
-                if not args.no_baseline else None) or {}
-    comparison = checks.compare(report.findings, baseline)
-    if args.format == "json":
-        print(checks.render_json(report, comparison))
-    else:
-        print(checks.render_text(report, comparison,
-                                 verbose=args.show_baselined))
-    if comparison.new or report.errors:
+    print(render_text(report))
+    if report.findings or report.errors:
         raise SystemExit(1)
 
 
@@ -705,38 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("paths", nargs="*",
                            help="files or directories to check "
                                 "(default: src/repro)")
-            p.add_argument("--format", default="text",
-                           choices=("text", "json"),
-                           help="report format (default: text)")
-            p.add_argument("--baseline",
-                           default="repro-check.baseline.json",
-                           help="baseline file of grandfathered "
-                                "findings (default: "
-                                "repro-check.baseline.json)")
-            p.add_argument("--no-baseline", action="store_true",
-                           help="fail on every finding, baselined "
-                                "or not")
-            p.add_argument("--write-baseline", action="store_true",
-                           help="record all current findings as the "
-                                "new baseline and exit")
             p.add_argument("--select", action="append", metavar="RULE",
                            default=None,
                            help="check only this rule (repeatable)")
-            p.add_argument("--parse-only", action="store_true",
-                           help="only verify every file parses "
-                                "(CI smoke); no rules run")
             p.add_argument("--list-rules", action="store_true",
                            help="print the rule catalog and exit")
-            p.add_argument("--show-baselined", action="store_true",
-                           help="also print findings covered by the "
-                                "baseline")
-            p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="parse and per-file-check N files in "
-                                "parallel (default: 1)")
-            p.add_argument("--strict-suppressions",
-                           action="store_true",
-                           help="report suppression directives that "
-                                "no longer match any finding (SUP001)")
     sub.add_parser("all", help="run every experiment in paper order")
     return parser
 

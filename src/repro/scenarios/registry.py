@@ -18,11 +18,10 @@ what a contender supports instead of special-casing names:
 * ``power`` — models provisioned fabric power via ``power_w()`` so
   the arena can place it on iso-performance / iso-power frontiers.
 
-``defaults`` carries per-backend default config applied by
-:func:`make_backend` before caller overrides, and ``seed_param``
-names the constructor keyword (if any) that receives the caller's
-``seed`` — the registry's replacement for the old if/elif chain
-that knew ``awgr`` wanted ``rng_seed``.
+A backend's default config is its constructor's defaults.
+``seed_param`` names the constructor keyword (if any) that receives
+the caller's ``seed`` — the registry's replacement for the old
+if/elif chain that knew ``awgr`` wanted ``rng_seed``.
 
 This module deliberately imports nothing from the backend modules:
 ``backends`` and ``topologies`` import *it* and self-register, and
@@ -33,7 +32,7 @@ the package ``__init__`` imports them in order so any entry path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,8 +58,6 @@ class BackendInfo:
     #: Constructor keyword that receives ``make_backend``'s seed, or
     #: None for backends that are deterministic given their inputs.
     seed_param: str | None = None
-    #: Default config merged under caller overrides.
-    defaults: dict = field(default_factory=dict)
 
     def capabilities(self) -> dict:
         """JSON-stable capability flags (the ``repro arena --list``
@@ -71,7 +68,6 @@ class BackendInfo:
 def register_backend(name: str, *, description: str = "",
                      fail_plane: bool = True, power: bool = True,
                      seed_param: str | None = None,
-                     defaults: dict | None = None,
                      ) -> Callable[[_ClassT], _ClassT]:
     """Class decorator adding a backend to the global registry.
 
@@ -93,7 +89,7 @@ def register_backend(name: str, *, description: str = "",
         _REGISTRY[name] = BackendInfo(
             name=name, cls=cls, description=description,
             fail_plane=fail_plane, power=power,
-            seed_param=seed_param, defaults=dict(defaults or {}))
+            seed_param=seed_param)
         return cls
 
     return decorate
@@ -120,14 +116,13 @@ def make_backend(name: str, n_nodes: int, seed: int = 0,
                  **params) -> "FabricBackend":
     """Construct a registered backend by name with keyword overrides.
 
-    Registry defaults apply first, then ``seed`` (routed to the
-    backend's declared ``seed_param``, ignored by deterministic
-    backends), then caller ``params`` — so an explicit RNG-seed
-    override in ``params`` beats the positional ``seed``.
+    ``seed`` goes to the backend's declared ``seed_param``
+    (deterministic backends ignore it) under the caller's ``params``,
+    so an explicit RNG-seed override in ``params`` beats the
+    positional ``seed``. Everything else takes the constructor's
+    defaults.
     """
     info = backend_info(name)
-    kwargs = dict(info.defaults)
     if info.seed_param is not None:
-        kwargs[info.seed_param] = seed
-    kwargs.update(params)
-    return info.cls(n_nodes=n_nodes, **kwargs)
+        params = {info.seed_param: seed, **params}
+    return info.cls(n_nodes=n_nodes, **params)

@@ -32,10 +32,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.pool import SessionNotFound, SessionPool
-from repro.service.protocol import (ProtocolError, encode_json,
-                                    parse_fork, parse_submit,
-                                    session_detail, session_summary,
-                                    sse_frame)
+from repro.service.protocol import (ProtocolError, check_fork_events,
+                                    encode_json, parse_fork,
+                                    parse_submit, session_detail,
+                                    session_summary, sse_frame)
 from repro.service.sessions import TERMINAL_STATES
 
 #: Seconds an SSE stream waits for the next epoch before re-checking
@@ -202,6 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_fork(self, parts, query) -> None:
         kwargs = parse_fork(self._read_body())
+        check_fork_events(self.pool.get(parts[1]), kwargs["events"])
         child = self.pool.fork(parts[1], **kwargs)
         self._send_json(session_summary(child), status=201)
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import inspect
 import json
 
-from repro.scenarios.registry import available_backends, backend_info
+from repro.scenarios.registry import (available_backends, backend_info,
+                                     make_backend)
 from repro.scenarios.scenario import EVENT_ACTIONS, ScenarioEvent
 from repro.service.sessions import Session
 
@@ -180,6 +181,26 @@ def parse_fork(body: dict) -> dict:
     if unknown:
         raise ProtocolError(f"unknown fork fields: {sorted(unknown)}")
     return kwargs
+
+
+def check_fork_events(parent: Session, events: tuple) -> None:
+    """Dry-run a fork child's events on a throwaway backend.
+
+    The parent's scripted events and the new ones are applied in the
+    order the child would play them (by epoch, stable). An event the
+    backend rejects is a :class:`ProtocolError` here, instead of a
+    child that fails in a worker after its retries."""
+    backend = make_backend(parent.backend_name, parent.scenario.n_nodes,
+                           seed=parent.base_seed, **parent.backend_params)
+    for event in sorted(parent.scenario.events + tuple(events),
+                        key=lambda e: e.epoch):
+        try:
+            backend.apply_event(event)
+        except (ValueError, TypeError, RuntimeError) as exc:
+            raise ProtocolError(
+                f"event at epoch {event.epoch} ({event.action} "
+                f"{event.value!r}) rejected by the "
+                f"{parent.backend_name!r} backend: {exc}") from None
 
 
 def encode_json(payload: dict) -> bytes:

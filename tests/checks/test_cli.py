@@ -1,9 +1,5 @@
 """The ``repro check`` CLI subcommand end to end."""
 
-import json
-
-import pytest
-
 from repro.cli import main
 
 BAD = "def f(acc=[]):\n    return acc\n"
@@ -24,82 +20,37 @@ class TestCheckCommand:
         (tmp_path / "ok.py").write_text(CLEAN)
         code, out = run_cli(["check", str(tmp_path)], capsys)
         assert code == 0
-        assert "0 new finding(s)" in out
+        assert "1 files checked: 0 finding(s), 0 parse error(s)" in out
 
     def test_findings_exit_nonzero(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD)
-        code, out = run_cli(
-            ["check", str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_cli(["check", str(tmp_path)], capsys)
         assert code == 1
         assert "PY001" in out
 
-    def test_json_format(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(BAD)
-        code, out = run_cli(
-            ["check", str(tmp_path), "--no-baseline",
-             "--format", "json"], capsys)
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["findings"][0]["rule"] == "PY001"
-
-    def test_baseline_workflow(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(BAD)
-        baseline = tmp_path / "baseline.json"
-        code, out = run_cli(
-            ["check", str(tmp_path), "--write-baseline",
-             "--baseline", str(baseline)], capsys)
-        assert code == 0
-        assert baseline.exists()
-        # Grandfathered finding no longer fails the gate...
-        code, out = run_cli(
-            ["check", str(tmp_path), "--baseline", str(baseline)],
-            capsys)
-        assert code == 0
-        assert "1 baselined" in out
-        # ...but a fresh violation still does.
-        (tmp_path / "new.py").write_text(BAD.replace("f(", "g("))
-        code, out = run_cli(
-            ["check", str(tmp_path), "--baseline", str(baseline)],
-            capsys)
-        assert code == 1
-
-    def test_stale_baseline_reported(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(BAD)
-        baseline = tmp_path / "baseline.json"
-        run_cli(["check", str(tmp_path), "--write-baseline",
-                 "--baseline", str(baseline)], capsys)
-        (tmp_path / "bad.py").write_text(CLEAN)
-        code, out = run_cli(
-            ["check", str(tmp_path), "--baseline", str(baseline)],
-            capsys)
-        assert code == 0  # stale entries warn, they don't fail
-        assert "stale baseline" in out
-
-    def test_parse_only_smoke(self, tmp_path, capsys):
+    def test_parse_error_fails_the_gate(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text(CLEAN)
         (tmp_path / "bad_syntax.py").write_text("def broken(:\n")
-        code, out = run_cli(
-            ["check", str(tmp_path), "--parse-only"], capsys)
+        code, out = run_cli(["check", str(tmp_path)], capsys)
         assert code == 1
         assert "PARSE" in out
         (tmp_path / "bad_syntax.py").write_text(CLEAN)
-        code, out = run_cli(
-            ["check", str(tmp_path), "--parse-only"], capsys)
+        code, out = run_cli(["check", str(tmp_path)], capsys)
         assert code == 0
-        assert "2 files parsed" in out
+        assert "2 files checked: 0 finding(s), 0 parse error(s)" in out
 
     def test_select_restricts_rules(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD)
         code, out = run_cli(
-            ["check", str(tmp_path), "--no-baseline",
-             "--select", "SIM002"], capsys)
+            ["check", str(tmp_path), "--select", "SIM002"], capsys)
         assert code == 0
 
     def test_list_rules(self, capsys):
         code, out = run_cli(["check", "--list-rules"], capsys)
         assert code == 0
-        for rule in ("SIM001", "SIM002", "SIM003", "SIM004", "PY001"):
-            assert rule in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "PY001", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
+            "SIM006"]
 
     def test_unknown_rule_is_an_error(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -108,6 +59,6 @@ class TestCheckCommand:
 
     def test_default_invocation_matches_ci_gate(self, capsys):
         # `repro check` with no arguments from the repo root is the CI
-        # gate; it must run clean against the committed baseline.
+        # gate; it must run clean.
         code, out = run_cli(["check"], capsys)
         assert code == 0, out

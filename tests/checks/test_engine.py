@@ -1,54 +1,34 @@
-"""Engine mechanics: suppressions, parse errors, baselines, reports."""
+"""Engine mechanics: markers, parse errors, file discovery, reports."""
 
-import json
+from pathlib import Path
 
 import pytest
 
-from repro.checks import (
-    Finding,
-    check_source,
-    compare,
-    iter_python_files,
-    load_baseline,
-    render_json,
-    render_text,
-    run_checks,
-    write_baseline,
-)
+from repro.checks.engine import check_source, iter_python_files, run_checks
+from repro.checks.report import render_text
 
 BAD_DEFAULT = "def f(acc=[]):\n    return acc\n"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSuppressions:
-    def test_line_disable_suppresses(self):
-        source = "def f(acc=[]):  # repro-check: disable=PY001\n    return acc\n"
-        report = check_source(source, "x.py", rules=["PY001"])
-        assert report.findings == []
-        assert report.suppressed == 1
+    """No comment can silence a finding; SIM001's markers are read
+    from real comments only."""
 
-    def test_line_disable_is_rule_specific(self):
-        source = ("def f(acc=[]):  # repro-check: disable=SIM001\n"
+    def test_disable_comment_silences_nothing(self):
+        # ``disable=`` is an unknown clause, and unknown clauses are
+        # ignored.
+        source = ("def f(acc=[]):  # repro-check: disable=PY001\n"
                   "    return acc\n")
         report = check_source(source, "x.py", rules=["PY001"])
-        assert len(report.findings) == 1
-
-    def test_disable_all(self):
-        source = ("def f(acc=[]):  # repro-check: disable=all\n"
-                  "    return acc\n")
-        assert check_source(source, "x.py").findings == []
-
-    def test_file_level_disable(self):
-        source = ("# repro-check: disable-file=PY001\n" + BAD_DEFAULT
-                  + "def g(acc={}):\n    return acc\n")
-        report = check_source(source, "x.py", rules=["PY001"])
-        assert report.findings == []
-        assert report.suppressed == 2
+        assert [f.rule for f in report.findings] == ["PY001"]
 
     def test_directive_inside_string_is_ignored(self):
-        source = ('S = "# repro-check: disable-file=PY001"\n'
-                  + BAD_DEFAULT)
-        report = check_source(source, "x.py", rules=["PY001"])
-        assert len(report.findings) == 1
+        # A string holding the ``derived`` marker text marks nothing.
+        source = (FIXTURES / "sim001_good.py").read_text().replace(
+            "  # repro-check: derived", '; _ = "# repro-check: derived"')
+        report = check_source(source, "sim001_good.py", rules=["SIM001"])
+        assert [f.key for f in report.findings] == ["Complete._cache"]
 
 
 class TestParseErrors:
@@ -81,135 +61,14 @@ class TestFileDiscovery:
         assert len(report.findings) == 1
 
 
-def _finding(key="f.acc", path="x.py", line=1):
-    return Finding(path=path, line=line, col=0, rule="PY001", key=key,
-                   message="mutable default")
-
-
-class TestBaseline:
-    def test_round_trip_and_partition(self, tmp_path):
-        baseline_path = tmp_path / "base.json"
-        old = _finding(key="f.acc")
-        write_baseline(baseline_path, [old])
-        baseline = load_baseline(baseline_path)
-        new = _finding(key="g.acc")
-        comparison = compare([old, new], baseline)
-        assert comparison.baselined == [old]
-        assert comparison.new == [new]
-        assert comparison.stale == []
-
-    def test_line_moves_do_not_invalidate_baseline(self, tmp_path):
-        baseline_path = tmp_path / "base.json"
-        write_baseline(baseline_path, [_finding(line=3)])
-        comparison = compare([_finding(line=99)],
-                             load_baseline(baseline_path))
-        assert comparison.new == []
-
-    def test_stale_entries_surface(self, tmp_path):
-        baseline_path = tmp_path / "base.json"
-        write_baseline(baseline_path, [_finding(key="gone.attr")])
-        comparison = compare([], load_baseline(baseline_path))
-        assert comparison.stale == ["PY001:x.py:gone.attr"]
-
-    def test_multiplicity_honored(self):
-        twice = [_finding(), _finding()]
-        baseline = compare(twice, {})  # nothing baselined
-        assert len(baseline.new) == 2
-        write = {f.fingerprint: 1 for f in twice[:1]}
-        comparison = compare(twice, write)
-        assert len(comparison.baselined) == 1
-        assert len(comparison.new) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-
 class TestReports:
     def test_text_report_lists_new_findings_and_summary(self):
         report = check_source(BAD_DEFAULT, "x.py", rules=["PY001"])
-        comparison = compare(report.findings, {})
-        text = render_text(report, comparison)
+        text = render_text(report)
         assert "x.py:1:10: PY001" in text
-        assert "1 new finding(s)" in text
-
-    def test_json_report_is_machine_readable(self):
-        report = check_source(BAD_DEFAULT, "x.py", rules=["PY001"])
-        comparison = compare(report.findings, {})
-        payload = json.loads(render_json(report, comparison))
-        assert payload["files"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "PY001"
-        assert finding["fingerprint"] == "PY001:x.py:f.acc"
+        assert text.endswith(
+            "1 files checked: 1 finding(s), 0 parse error(s)")
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(KeyError, match="NOPE"):
             check_source("x = 1\n", "x.py", rules=["NOPE"])
-
-
-class TestParallelJobs:
-    def test_jobs_match_serial_results(self, tmp_path):
-        (tmp_path / "a.py").write_text(BAD_DEFAULT)
-        (tmp_path / "b.py").write_text(
-            "import threading\n\n"
-            "class Box:\n"
-            "    def __init__(self):\n"
-            "        self._box_lock = threading.Lock()\n"
-            "        self.items_held = 0\n\n"
-            "    def put(self):\n"
-            "        with self._box_lock:\n"
-            "            self.items_held += 1\n\n"
-            "    def wipe(self):\n"
-            "        self.items_held = 0\n")
-        (tmp_path / "c.py").write_text("x = 1\n")
-        serial = run_checks([tmp_path], jobs=1)
-        parallel = run_checks([tmp_path], jobs=3)
-        assert ([f.fingerprint for f in serial.findings]
-                == [f.fingerprint for f in parallel.findings])
-        assert serial.findings  # the fixture tree is not trivially empty
-        assert serial.files == parallel.files == 3
-
-    def test_jobs_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_checks([tmp_path], jobs=0)
-
-
-class TestStrictSuppressions:
-    def test_stale_directive_reported(self):
-        source = "def f(x):  # repro-check: disable=PY001\n    return x\n"
-        report = check_source(source, "x.py", rules=["PY001"],
-                              strict_suppressions=True)
-        assert [f.rule for f in report.findings] == ["SUP001"]
-        assert "PY001" in report.findings[0].message
-
-    def test_used_directive_not_stale(self):
-        source = ("def f(acc=[]):  # repro-check: disable=PY001\n"
-                  "    return acc\n")
-        report = check_source(source, "x.py", rules=["PY001"],
-                              strict_suppressions=True)
-        assert report.findings == []
-        assert report.suppressed == 1
-
-    def test_directive_for_unselected_rule_not_stale(self):
-        # PY001 didn't run, so the engine can't know whether the
-        # directive still suppresses anything — stay quiet.
-        source = "def f(x):  # repro-check: disable=PY001\n    return x\n"
-        report = check_source(source, "x.py", rules=["SIM002"],
-                              strict_suppressions=True)
-        assert report.findings == []
-
-    def test_stale_file_level_directive_reported(self):
-        source = "# repro-check: disable-file=PY001\nx = 1\n"
-        report = check_source(source, "x.py", rules=["PY001"],
-                              strict_suppressions=True)
-        assert [f.key for f in report.findings] == [
-            "stale:disable-file=PY001"]
-
-    def test_off_by_default(self):
-        source = "def f(x):  # repro-check: disable=PY001\n    return x\n"
-        assert check_source(source, "x.py", rules=["PY001"]).findings == []

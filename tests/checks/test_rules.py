@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import PROJECT_RULES, RULES, check_file, check_source
+from repro.checks.engine import check_file, check_source
+from repro.checks.rules import PROJECT_RULES, RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,7 +59,6 @@ class TestSIM001Details:
         source = (FIXTURES / "sim001_good.py").read_text()
         stripped = source.replace("  # repro-check: config", "")
         stripped = stripped.replace("  # repro-check: derived", "")
-        from repro.checks import check_source
         findings = check_source(stripped, "sim001_good.py",
                                 rules=["SIM001"])
         assert {f.key for f in findings.findings} == {

@@ -1,21 +1,19 @@
 """The checker's own gate over the real source tree.
 
 These tests are the in-suite mirror of the CI step: ``src/repro``
-must stay clean (modulo the committed baseline, which is empty for
-``network/`` and ``scenarios/``), every file must parse, and — the
-acceptance criterion for SIM001 — deleting any single key from
+must stay clean, every file must parse, and — the acceptance
+criterion for SIM001 — deleting any single key from
 ``AWGRNetworkSimulator.snapshot()``'s return dict must trip the rule.
 """
 
 import ast
 import functools
-import json
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.checks import check_source, load_baseline, run_checks
+from repro.checks.engine import check_source, run_checks
 from repro.scenarios import available_backends, backend_info
 
 REPO = Path(__file__).resolve().parents[2]
@@ -31,21 +29,6 @@ def test_src_repro_parses_and_is_clean():
     report = run_checks([SRC], index_paths=[ORACLES])
     assert report.errors == []
     assert report.findings == []
-
-
-def test_committed_baseline_is_empty_for_network_and_scenarios():
-    baseline = load_baseline(REPO / "repro-check.baseline.json")
-    for fingerprint in baseline:
-        rule, path, _ = fingerprint.split(":", 2)
-        assert "repro/network/" not in path
-        assert "repro/scenarios/" not in path
-
-
-def test_baseline_file_is_committed_and_versioned():
-    payload = json.loads(
-        (REPO / "repro-check.baseline.json").read_text())
-    assert payload["version"] == 1
-    assert isinstance(payload["findings"], list)
 
 
 def _snapshot_dict(tree: ast.Module) -> ast.Dict:

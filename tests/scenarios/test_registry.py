@@ -59,8 +59,7 @@ class TestRegisterBackend:
         the add-a-backend contract the README documents."""
 
         @register_backend("_probe", description="test-only",
-                          fail_plane=False, power=False,
-                          defaults={"links_per_pair": 1})
+                          fail_plane=False, power=False)
         class ProbeBackend:
             def __init__(self, n_nodes, links_per_pair=9):
                 self.n_nodes = n_nodes
@@ -83,8 +82,8 @@ class TestRegisterBackend:
             assert "_probe" in available_backends()
             built = make_backend("_probe", n_nodes=6, seed=3)
             assert built.n_nodes == 6
-            # Registry defaults apply under caller overrides.
-            assert built.links_per_pair == 1
+            # The constructor's default applies; an override wins.
+            assert built.links_per_pair == 9
             assert make_backend("_probe", 6,
                                 links_per_pair=7).links_per_pair == 7
         finally:

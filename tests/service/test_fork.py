@@ -12,7 +12,8 @@ from repro.scenarios import (
     ScenarioRunner,
     make_backend,
 )
-from repro.service import ServiceClient, ServiceGateway, SessionPool
+from repro.service import (ServiceClient, ServiceError, ServiceGateway,
+                           SessionPool)
 from repro.service.sessions import Session
 
 
@@ -139,5 +140,28 @@ class TestForkOverHTTP:
             # Parent record untouched by the child's divergence.
             again = client.epochs(parent_id)["epochs"]
             assert canon(again) == canon(parent_epochs)
+        finally:
+            gateway.stop()
+
+    def test_fork_with_rejected_event_is_400(self):
+        # The backend rejects plane 99 only when the event is applied:
+        # the fork route dry-runs the child's events, so no child is
+        # created and no worker retries it.
+        pool = SessionPool(workers=1, slice_epochs=4)
+        gateway = ServiceGateway(pool)
+        gateway.start()
+        try:
+            client = ServiceClient(gateway.url)
+            parent_id = client.submit("demo", n_epochs=8)["id"]
+            assert client.wait(parent_id)["state"] == "completed"
+            before = pool.list_ids()
+            with pytest.raises(ServiceError) as err:
+                client.fork(parent_id, at_epoch=4,
+                            events=[{"epoch": 5, "action": "fail_plane",
+                                     "value": 99}])
+            assert err.value.status == 400
+            assert "epoch 5 (fail_plane 99)" in str(err.value)
+            assert pool.list_ids() == before
+            assert client.metrics()["recoveries_total"] == 0
         finally:
             gateway.stop()

@@ -7,6 +7,10 @@ on the import path of the library, the experiment and scenario
 engines or the service. A fresh interpreter is the only place a
 clean ``sys.modules`` can be observed.
 
+The service imports the lock sanitizer, :mod:`repro.checks.runtime`,
+and nothing else of the checker: the linter's engine and rules load
+only for ``repro check``.
+
 The scalar oracles under ``tests/oracles/`` are the other direction:
 production must never run them, so nothing under ``src/`` imports the
 ``tests`` package, statically or at import time. The per-flow
@@ -38,10 +42,26 @@ def test_package_import_loads_neither_scipy_stats_nor_networkx():
     assert result.stdout.strip() == "[]"
 
 
+SERVICE_PROBE = """
+import sys
+import repro.service
+print(sorted(m for m in sys.modules if m.startswith("repro.checks")))
+"""
+
+
+def test_service_import_loads_only_the_sanitizer():
+    result = subprocess.run(
+        [sys.executable, "-c", SERVICE_PROBE], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == str(["repro.checks",
+                                         "repro.checks.runtime"])
+
+
 TESTS_PROBE = """
 import sys
 import repro, repro.experiments, repro.scenarios, repro.service
-import repro.checks
+import repro.checks.report
 print(sorted(m for m in sys.modules
              if m == "tests" or m.startswith("tests.")))
 """
