@@ -17,11 +17,11 @@ beats the other's by a fixed floor:
 The file name matches none of ``pytest.ini``'s ``python_files``
 patterns, so ``pytest`` collects it only when named on the command
 line, never in the tier-1 run. A ratio of two sub-second wall-clock
-samples depends on what else the machine is running, so the arena,
-admission and epoch-loop floors compare the fastest of several
-samples per path: the arena ratio alternates ``ARENA_REPEATS`` serial
-and one-pass samples of tens of milliseconds each. Run the floors on
-their own::
+samples depends on what else the machine is running, so the admission
+and epoch-loop floors compare the fastest of several samples per path,
+and the arena floor reads the median ratio of ``ARENA_REPEATS``
+adjacent serial/one-pass pairs of tens of milliseconds each. Run the
+floors on their own::
 
     PYTHONPATH=src python -m pytest -q benchmarks/timing_floors.py
 
@@ -32,6 +32,7 @@ faster than the one it replaced.
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -61,16 +62,18 @@ ARENA_SCENARIOS = ("demo", "diurnal_cori")
 ARENA_EPOCHS = 16
 ARENA_SEED = 7
 
-#: Samples per path. The serial runs and the arena pass alternate,
-#: and each path keeps its fastest sample: the one the rest of the
-#: machine disturbed least.
+#: Serial/one-pass pairs per scenario. Each pair times the serial
+#: runs and then the arena pass back to back, and the floor reads the
+#: median of the pairs' ratios: a slowdown of the machine that spans a
+#: pair slows both of its samples, and one that hits a single sample
+#: moves one ratio of five.
 ARENA_REPEATS = 5
 
 
 def _race(name: str) -> dict:
-    """Serial runs and one arena pass over one scenario, best of
-    ``ARENA_REPEATS`` each, checked bit-identical per backend on every
-    repeat."""
+    """Serial runs and one arena pass over one scenario in
+    ``ARENA_REPEATS`` adjacent pairs, checked bit-identical per backend
+    on every repeat; the speedup is the median pair's ratio."""
     from repro.scenarios import (
         ScenarioRunner,
         available_backends,
@@ -80,7 +83,7 @@ def _race(name: str) -> dict:
     from repro.scenarios.library import get_scenario
 
     scenario = get_scenario(name).with_epochs(ARENA_EPOCHS)
-    serial_s = arena_s = float("inf")
+    serial_s, arena_s = [], []
     for _ in range(ARENA_REPEATS):
         solo = {}
         start = time.perf_counter()
@@ -89,11 +92,11 @@ def _race(name: str) -> dict:
                 scenario,
                 make_backend(backend, scenario.n_nodes, seed=ARENA_SEED),
             ).run(seed=ARENA_SEED)
-        serial_s = min(serial_s, time.perf_counter() - start)
+        serial_s.append(time.perf_counter() - start)
 
         start = time.perf_counter()
         arena = run_arena(scenario, seed=ARENA_SEED)
-        arena_s = min(arena_s, time.perf_counter() - start)
+        arena_s.append(time.perf_counter() - start)
 
         for backend, alone in solo.items():
             raced = [e.to_dict() for e in arena.reports[backend].epochs]
@@ -104,9 +107,10 @@ def _race(name: str) -> dict:
     assert len(iso_performance) >= 2
     assert len(iso_power) >= 2
     return {
-        "serial_s": serial_s,
-        "arena_s": arena_s,
-        "one_pass_speedup": serial_s / max(arena_s, 1e-9),
+        "serial_s": statistics.median(serial_s),
+        "arena_s": statistics.median(arena_s),
+        "one_pass_speedup": statistics.median(
+            s / max(a, 1e-9) for s, a in zip(serial_s, arena_s)),
         "iso_perf_winner": iso_performance[0]["backend"],
         "iso_power_winner": iso_power[0]["backend"],
     }

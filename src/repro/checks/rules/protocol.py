@@ -1,12 +1,10 @@
-"""SIM003 — protocol conformance for backends and sweep executors.
+"""SIM003 — protocol conformance for fabric backends.
 
 * Classes adapted as fabric backends (anything defining
   ``apply_event``, the distinguishing method of ``FabricBackend``)
   must implement the full protocol surface — ``name`` plus ``step``,
   ``apply_event``, ``snapshot``, ``restore`` — with signatures a
   protocol caller can invoke positionally.
-* Classes named ``*Executor`` must implement the ``SweepExecutor``
-  surface (``run(self, tasks)``).
 * ``snapshot``/``restore`` must appear as a pair in any class, never
   alone — a snapshot nobody can restore (or vice versa) is a latent
   resume bug.
@@ -36,9 +34,6 @@ RULE_ID = "SIM003"
 #: count, counting ``self``.
 FABRIC_SURFACE = {"step": 2, "apply_event": 2, "snapshot": 1,
                   "restore": 2}
-
-#: SweepExecutor surface.
-EXECUTOR_SURFACE = {"run": 2}
 
 
 def _signature_ok(func: ast.FunctionDef, expected: int) -> bool:
@@ -70,8 +65,8 @@ def _check_surface(ctx: ModuleContext, info: ClassInfo, protocol: str,
 @register
 class ProtocolConformance(Rule):
     rule_id = RULE_ID
-    summary = ("backend/executor classes must implement their full "
-               "protocol surface; snapshot/restore come in pairs")
+    summary = ("backend classes must implement their full protocol "
+               "surface; snapshot/restore come in pairs")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for info in collect_classes(ctx.tree):
@@ -97,10 +92,6 @@ class ProtocolConformance(Rule):
                         message=(f"{info.name} looks like a "
                                  f"FabricBackend but never defines a "
                                  f"`name` attribute"))
-            if (info.name.endswith("Executor")
-                    and info.name != "SweepExecutor"):
-                yield from _check_surface(ctx, info, "SweepExecutor",
-                                          EXECUTOR_SURFACE)
 
     @staticmethod
     def _has_name(info: ClassInfo) -> bool:

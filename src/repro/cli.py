@@ -206,7 +206,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                else default_workers())
     if workers < 1:
         raise SystemExit("sweep: --workers must be >= 1")
-    executor = args.executor
     shard_index = shard_count = None
     if args.shard is not None:
         try:
@@ -217,15 +216,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                              "(e.g. 0/4)") from None
         if not 0 <= shard_index < shard_count:
             raise SystemExit("sweep: --shard index must be in [0, N)")
-        executor = "shard"
         if cache is None:
             raise SystemExit("sweep: sharding needs the shared result "
                              "cache (drop --no-cache)")
-    elif executor == "shard":
-        raise SystemExit("sweep: --executor shard needs --shard I/N")
     runner = SweepRunner(workers=workers, cache=cache,
-                         executor=executor, shard_index=shard_index,
-                         shard_count=shard_count)
+                         shard_index=shard_index, shard_count=shard_count)
     result = runner.run(spec, force=args.force)
     print(render_sweep(result))
     if result.n_failed:
@@ -282,12 +277,15 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         if args.workers < 1:
             raise SystemExit("scenario: --workers must be >= 1")
         from repro.experiments import ResultCache
-        runner = ShardedScenarioRunner(
-            scenario, backend=args.backend,
-            chunk_epochs=args.chunk_epochs, boundary=args.boundary,
-            shards=args.shards,
-            shard_index=args.shard_index, base_seed=args.seed,
-            cache=ResultCache(args.cache_dir), workers=args.workers)
+        try:
+            runner = ShardedScenarioRunner(
+                scenario, backend=args.backend,
+                chunk_epochs=args.chunk_epochs, boundary=args.boundary,
+                shards=args.shards,
+                shard_index=args.shard_index, base_seed=args.seed,
+                cache=ResultCache(args.cache_dir), workers=args.workers)
+        except ValueError as exc:
+            raise SystemExit(f"scenario: {exc}") from None
         result = runner.run(resume=args.resume)
         print(render_table(
             result.rows(),
@@ -454,23 +452,23 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if args.list_rules:
         print(render_rules())
         return
-    paths = args.paths
-    if not paths:
-        # Repo-root invocation checks the source tree; elsewhere, fall
-        # back to the installed package itself.
-        default = Path("src/repro")
-        paths = [default if default.is_dir()
-                 else Path(__file__).resolve().parent]
+    # Repo-root invocation checks the source tree; elsewhere, the
+    # package itself. Project rules (SIM005/SIM006) resolve names and
+    # twin-test evidence across the whole repo, so the tests/ tree of
+    # the repo holding that source joins the index.
+    source = Path("src/repro")
+    if not source.is_dir():
+        source = Path(__file__).resolve().parent
+    tests_dir = source.resolve().parent.parent / "tests"
+    if not tests_dir.is_dir():
+        raise SystemExit(
+            f"check: no test tree to index at {tests_dir}: SIM005 and "
+            "SIM006 find thread seeds, twin tests and oracles there; "
+            "run from a checkout that holds src/repro and tests/")
     rules = [r.upper() for r in args.select] if args.select else None
-    # Project rules (SIM005/SIM006) resolve names and twin-test
-    # evidence across the whole repo: index the test tree when it is
-    # not already among the checked paths.
-    index_paths = []
-    tests_dir = Path("tests")
-    if tests_dir.is_dir():
-        index_paths.append(tests_dir)
     try:
-        report = run_checks(paths, rules=rules, index_paths=index_paths)
+        report = run_checks(args.paths or [source], rules=rules,
+                            index_paths=[tests_dir])
     except KeyError as exc:
         raise SystemExit(f"check: {exc.args[0]}") from None
     print(render_text(report))
@@ -565,12 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true",
                            help="ignore cached results but refresh "
                                 "them")
-            p.add_argument("--executor", default="auto",
-                           choices=("auto", "inline", "process",
-                                    "shard"),
-                           help="execution backend (default: auto — "
-                                "inline for one worker, process pool "
-                                "otherwise)")
             p.add_argument("--shard", default=None, metavar="I/N",
                            help="run only this machine's stable-hash "
                                 "slice of the grid (e.g. 0/4); point "
@@ -617,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "chunk)")
             p.add_argument("--workers", type=int, default=1,
                            help="process-pool width for this "
-                                "process's chunks (default: 1)")
+                                "process's chunks; needs --boundary "
+                                "reset (default: 1)")
             p.add_argument("--cache-dir", default=".repro-cache",
                            help="chunk checkpoint directory, shared "
                                 "by all shards (default: "

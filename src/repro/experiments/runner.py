@@ -1,32 +1,33 @@
-"""Crash-tolerant sweep execution over pluggable executors.
+"""Crash-tolerant, shardable sweep execution.
 
 ``SweepRunner`` takes an :class:`~repro.experiments.spec.ExperimentSpec`,
 serves whatever it can from the :class:`~repro.experiments.cache.ResultCache`,
-and hands the remaining tasks to a
-:class:`~repro.experiments.executors.SweepExecutor` (inline, process
-pool, or a work-stealing shard of a multi-machine run). Outcomes
-stream back in completion order and are committed to the cache one by
-one, so a failing task — or a dying worker process — costs exactly
-that task: everything already completed is cached, the failure is
-recorded on its :class:`TaskResult`, and the sweep finishes. Results
-are reported in grid order regardless of completion order, so a
-sweep's output is deterministic whether it ran serial, parallel,
-sharded, or fully cached.
+and runs the remaining tasks through :func:`repro.scaleout.fan_out`:
+inline for one worker, on a process pool otherwise. Results stream
+back in completion order and are committed to the cache one by one,
+so a failing task — or a dying worker process — costs exactly that
+task: everything already completed is cached, the failure is recorded
+on its :class:`TaskResult`, and the sweep finishes.
+
+Given a ``shard_index``, the runner owns only the stable-hash slice
+:func:`shard_of` of the grid. N processes (or machines) pointed at one
+spec and one cache directory each run their own slice and then steal
+the foreign tasks no other shard has cached yet, so the grid converges
+without any coordination service. Results are reported in grid order
+regardless of completion order, so a sweep's output is deterministic
+whether it ran serial, parallel, sharded, or fully cached.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.executors import (
-    SweepExecutor,
-    TaskOutcome,
-    make_executor,
-)
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.spec import ExperimentSpec, SweepTask
+from repro.scaleout import fan_out
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class SweepResult:
     results: list[TaskResult] = field(default_factory=list)
     workers: int = 1
     wall_s: float = 0.0
-    #: Grid points the executor never produced — another shard owns
-    #: them and there was no cache to steal through.
+    #: Grid points this run never produced — another shard owns them
+    #: and there was no cache to steal through.
     skipped: list[dict] = field(default_factory=list)
 
     @property
@@ -123,9 +124,34 @@ def default_workers() -> int:
     return max(1, min(8, (os.cpu_count() or 2) - 1))
 
 
+def run_task(task: SweepTask) -> TaskResult:
+    """Execute one task, converting any exception into a failed result
+    that carries its traceback (module-level so it pickles into worker
+    processes).
+
+    Times the task where it runs, so ``duration_s`` is the task's own
+    runtime even when a pool runs tasks concurrently.
+    """
+    t0 = time.perf_counter()
+    try:
+        metrics, error = task.execute(), None
+    except Exception:
+        metrics, error = {}, traceback.format_exc()
+    return TaskResult(config=task.config, seed=task.seed, metrics=metrics,
+                      cached=False, duration_s=time.perf_counter() - t0,
+                      error=error)
+
+
+def shard_of(task: SweepTask, shard_count: int) -> int:
+    """Which shard owns a task: stable across machines and runs."""
+    if shard_count < 1:
+        raise ValueError("shard_count must be >= 1")
+    return int(task.config_hash[:16], 16) % shard_count
+
+
 @dataclass
 class SweepRunner:
-    """Runs experiment sweeps, optionally cached and parallel.
+    """Runs experiment sweeps, optionally cached, parallel and sharded.
 
     Parameters
     ----------
@@ -137,80 +163,95 @@ class SweepRunner:
         Result cache; ``None`` disables caching entirely. Results are
         stored *as each task completes*, never buffered — an aborted
         or partially failed sweep keeps everything it finished.
-    executor:
-        ``"auto"`` (inline for one worker, process pool otherwise),
-        an executor name from
-        :data:`~repro.experiments.executors.EXECUTORS`, or any object
-        implementing :class:`~repro.experiments.executors.SweepExecutor`.
     shard_index, shard_count:
-        With ``executor="shard"``, this process's stable-hash slice of
-        the grid. Point N processes (or machines) at the same spec and
-        cache directory with indices ``0..N-1`` and they converge on
-        the full grid without coordination (see
-        :class:`~repro.experiments.executors.ShardExecutor`).
+        With a ``shard_index``, run only this process's stable-hash
+        slice of the grid (``shard_of(task, shard_count) ==
+        shard_index``), then steal the foreign tasks that are not in
+        the shared ``cache`` yet, one at a time and re-checking the
+        cache before each, so duplicated work is bounded by one task
+        per straggler. Point N processes (or machines) at the same
+        spec and cache directory with indices ``0..N-1`` and each
+        converges on the full grid without coordination. Without a
+        cache there is no way to see other shards' progress: foreign
+        tasks are reported as :attr:`SweepResult.skipped`.
     """
 
     workers: int = 1
     cache: ResultCache | None = None
-    executor: str | SweepExecutor = "auto"
     shard_index: int | None = None
     shard_count: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.shard_index is not None and (
+                self.shard_count is None
+                or not 0 <= self.shard_index < self.shard_count):
+            raise ValueError("shard_index must be in [0, shard_count)")
 
     def run(self, spec: ExperimentSpec, force: bool = False
             ) -> SweepResult:
         """Execute (or replay) every task of ``spec``.
 
         With ``force`` the cache is ignored for reads but still
-        written, refreshing stale entries in place. Failed tasks are
-        recorded on their :class:`TaskResult` (``error`` holds the
-        traceback) instead of aborting the sweep; call
-        :meth:`SweepResult.raise_on_failure` to escalate.
+        written, refreshing stale entries in place; stolen foreign
+        tasks are recomputed too. Failed tasks are recorded on their
+        :class:`TaskResult` (``error`` holds the traceback) instead of
+        aborting the sweep; call :meth:`SweepResult.raise_on_failure`
+        to escalate.
         """
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         t0 = time.perf_counter()
         tasks = spec.tasks()
         slots: list[TaskResult | None] = [None] * len(tasks)
-        pending = []
+        owned: list[SweepTask] = []
+        foreign: list[SweepTask] = []
         for task in tasks:
-            hit = None
-            if self.cache is not None and not force:
-                hit = self.cache.load(task)
+            hit = self._cached(task, force)
             if hit is not None:
-                slots[task.index] = TaskResult(
-                    config=task.config, seed=task.seed, metrics=hit,
-                    cached=True, duration_s=0.0)
+                slots[task.index] = hit
+            elif self._owns(task):
+                owned.append(task)
             else:
-                pending.append(task)
+                foreign.append(task)
 
-        for task, outcome in self._executor(force).run(pending):
-            slots[task.index] = self._commit(task, outcome)
+        for (task,), result, error in fan_out(
+                run_task, [(task,) for task in owned], self.workers):
+            if error is not None:  # raised outside run_task: the worker died
+                result = TaskResult(
+                    config=task.config, seed=task.seed, metrics={},
+                    cached=False, duration_s=0.0,
+                    error=f"{type(error).__name__}: {error}")
+            slots[task.index] = self._commit(task, result)
+        if self.cache is not None:
+            for task in foreign:
+                slots[task.index] = (self._cached(task, force)
+                                     or self._commit(task, run_task(task)))
 
         return SweepResult(
             spec_name=spec.name,
             results=[r for r in slots if r is not None],
             workers=self.workers,
             wall_s=time.perf_counter() - t0,
-            skipped=[t.config for t in pending
-                     if slots[t.index] is None])
+            skipped=[t.config for t in foreign if slots[t.index] is None])
 
-    def _executor(self, force: bool = False) -> SweepExecutor:
-        if isinstance(self.executor, str):
-            return make_executor(self.executor, workers=self.workers,
-                                 cache=self.cache,
-                                 shard_index=self.shard_index,
-                                 shard_count=self.shard_count,
-                                 force=force)
-        return self.executor
+    def _owns(self, task: SweepTask) -> bool:
+        return (self.shard_index is None
+                or shard_of(task, self.shard_count) == self.shard_index)
 
-    def _commit(self, task, outcome: TaskOutcome) -> TaskResult:
-        """Turn one streamed outcome into a TaskResult, caching
-        successful metrics immediately."""
-        if outcome.ok and not outcome.cached and self.cache is not None:
-            self.cache.store(task, outcome.metrics)
-        return TaskResult(
-            config=task.config, seed=task.seed,
-            metrics=outcome.metrics if outcome.ok else {},
-            cached=outcome.cached,
-            duration_s=outcome.duration_s,
-            error=outcome.error)
+    def _cached(self, task: SweepTask, force: bool) -> TaskResult | None:
+        """The task's cached result, or None on a miss (always under
+        ``force``)."""
+        hit = None
+        if self.cache is not None and not force:
+            hit = self.cache.load(task)
+        if hit is None:
+            return None
+        return TaskResult(config=task.config, seed=task.seed, metrics=hit,
+                          cached=True, duration_s=0.0)
+
+    def _commit(self, task: SweepTask, result: TaskResult) -> TaskResult:
+        """Cache one freshly computed result the moment it exists
+        (failures never reach the cache)."""
+        if result.ok and self.cache is not None:
+            self.cache.store(task, result.metrics)
+        return result

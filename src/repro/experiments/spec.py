@@ -9,41 +9,17 @@ task config) — so the same spec always yields the same seeds, across
 processes and Python invocations, without any global state.
 
 Factories and extractors must be *module-level* callables: tasks fan
-out over ``ProcessPoolExecutor`` and therefore have to pickle.
+out over a process pool (:func:`repro.scaleout.fan_out`) and
+therefore have to pickle.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
-
-def _canonical(value: Any) -> Any:
-    """Reduce a config value to a canonical JSON-stable form."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    raise TypeError(f"config value {value!r} is not JSON-stable")
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(_canonical(obj), sort_keys=True,
-                      separators=(",", ":"))
-
-
-def stable_hash(obj: Any) -> str:
-    """Hex digest of an object's canonical JSON; stable across runs
-    (unlike ``hash()``, which Python salts per process)."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+from repro.scaleout import key_hash, stable_hash
 
 
 def derive_seed(spec_name: str, version: int, base_seed: int,
@@ -69,9 +45,7 @@ class SweepTask:
     @property
     def config_hash(self) -> str:
         """Stable hash of the task's config (cache key component)."""
-        return stable_hash({"spec": self.spec_name,
-                            "version": self.version,
-                            "config": self.config})
+        return key_hash(self)
 
     def execute(self) -> dict[str, Any]:
         """Run factory + metric extraction for this configuration."""

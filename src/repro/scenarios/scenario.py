@@ -44,9 +44,9 @@ def derive_epoch_seed(scenario: "Scenario | str", epoch: int,
     ``"episodes"`` for traffic generation, ``"backend"`` for the
     fabric RNG a chunk runner constructs.
 
-    Implemented with :mod:`hashlib` directly (mirroring
-    ``repro.experiments.spec.stable_hash``) so this package keeps its
-    one-directional no-``repro.experiments``-import rule.
+    A sha256 of a plain counter string, separate from the cache-key
+    hash (:func:`repro.scaleout.stable_hash`): this one seeds draws,
+    that one names cached results.
     """
     name = scenario if isinstance(scenario, str) else scenario.name
     payload = (f"repro.scenarios.epoch:{stream}:{name}:"

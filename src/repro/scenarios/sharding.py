@@ -55,6 +55,9 @@ bit-identical to a monolithic
 :class:`~repro.scenarios.runner.ScenarioRunner` run whose backend was
 seeded with :func:`chunk_backend_seed`.
 
+Reset-mode chunks fan out through :func:`repro.scaleout.fan_out`, the
+process pool the sweep runner uses too, and a chunk's cache identity
+is :func:`repro.scaleout.key_hash`, the sweep tasks' content hash.
 This module deliberately never imports ``repro.experiments`` (the
 dependency stays one-directional): the checkpoint store is duck-typed
 to :class:`~repro.experiments.cache.ResultCache` — anything with
@@ -65,12 +68,11 @@ the key's ``spec_name`` / ``version`` / ``config`` / ``seed`` /
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro.scaleout import fan_out, key_hash
 from repro.scenarios.backends import EpochReport, make_backend
 from repro.scenarios.runner import ScenarioReport, play_epochs
 from repro.scenarios.scenario import Scenario, derive_epoch_seed
@@ -120,15 +122,6 @@ def chunk_backend_seed(scenario: Scenario | str, start: int,
                              stream="backend")
 
 
-def _stable_chunk_hash(config: dict) -> str:
-    """Deterministic hex digest of a chunk config (sorted-key JSON;
-    mirrors ``repro.experiments.spec.stable_hash`` without importing
-    it, preserving the one-directional dependency rule)."""
-    payload = json.dumps(config, sort_keys=True,
-                         separators=(",", ":"), default=list)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class ChunkKey:
     """Checkpoint-cache identity of one chunk (duck-types the
@@ -143,19 +136,18 @@ class ChunkKey:
 
     @property
     def config_hash(self) -> str:
-        return _stable_chunk_hash({"spec": self.spec_name,
-                                   "version": self.version,
-                                   "config": self.config})
+        return key_hash(self)
 
 
 def execute_chunk(scenario_config: dict, backend: str,
                   backend_params: dict, start: int, stop: int,
-                  base_seed: int, boundary: str = "reset",
+                  base_seed: int, *, boundary: str,
                   snapshot: dict | None = None) -> dict:
-    """Run epochs ``[start, stop)``; return the JSON-stable checkpoint
-    payload (module-level so it pickles into worker processes). A
-    range outside ``[0, n_epochs]`` of the scenario raises
-    ``ValueError``.
+    """Run epochs ``[start, stop)`` with ``boundary`` semantics
+    (``"reset"`` or ``"carry"``; every caller names its mode); return
+    the JSON-stable checkpoint payload (module-level so it pickles into
+    worker processes). A range outside ``[0, n_epochs]`` of the
+    scenario raises ``ValueError``.
 
     In ``"reset"`` mode events scripted before ``start`` are replayed
     on a fresh backend first, so persistent backend state (failed
@@ -360,8 +352,9 @@ class ShardedScenarioRunner:
         disables checkpointing (and therefore resume).
     workers:
         Process-pool width for this process's chunks; 1 runs inline.
-        Reset mode only — carry-mode chunks are sequentially
-        dependent and always run inline, in index order.
+        Reset mode only: carry-mode chunks are sequentially dependent
+        and run inline, in index order, so ``boundary="carry"`` with
+        ``workers > 1`` raises ``ValueError``.
     """
 
     scenario: Scenario
@@ -386,6 +379,12 @@ class ShardedScenarioRunner:
             raise ValueError("shard_index must be in [0, shards)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.boundary == "carry" and self.workers > 1:
+            raise ValueError(
+                f"workers={self.workers} needs boundary=\"reset\": "
+                "carry-mode chunks restore their predecessor's snapshot "
+                "and run inline, in order; reset chunks are independent "
+                "and fan out over a process pool")
 
     # -- chunk identity --------------------------------------------------------
 
@@ -455,11 +454,16 @@ class ShardedScenarioRunner:
                 statuses[index] = ChunkStatus(index, start, stop,
                                               "pending")
 
-        for index, payload, error in self._execute(ranges, todo):
-            start, stop = ranges[index]
+        execute = partial(execute_chunk, self.scenario.to_config(),
+                          self.backend, dict(self.backend_params),
+                          base_seed=self.base_seed, boundary="reset")
+        for (start, stop), payload, error in fan_out(
+                execute, [ranges[i] for i in todo], self.workers):
+            index = ranges.index((start, stop))
             if error is not None:
-                statuses[index] = ChunkStatus(index, start, stop,
-                                              "failed", error=error)
+                statuses[index] = ChunkStatus(
+                    index, start, stop, "failed",
+                    error=self._chunk_error(index, error))
                 continue
             if self.cache is not None:
                 self.cache.store(self.chunk_key(start, stop), payload)
@@ -518,9 +522,7 @@ class ShardedScenarioRunner:
             except Exception as exc:
                 result.chunks.append(ChunkStatus(
                     index, start, stop, "failed",
-                    error=f"chunk {index} of scenario "
-                          f"{self.scenario.name!r}: "
-                          f"{type(exc).__name__}: {exc}"))
+                    error=self._chunk_error(index, exc)))
                 carried = None
                 continue
             if self.cache is not None:
@@ -533,42 +535,7 @@ class ShardedScenarioRunner:
         result.wall_s = time.perf_counter() - t0
         return result
 
-    def _execute(self, ranges, todo: list[int]):
-        """Yield ``(index, payload, error)`` per owned chunk, in
-        completion order under a pool, so the caller checkpoints each
-        chunk the moment it exists and an interrupt (or a chunk
-        failure) never loses finished chunks."""
-        scenario_config = self.scenario.to_config()
-
-        def args_for(index: int):
-            start, stop = ranges[index]
-            return (scenario_config, self.backend,
-                    dict(self.backend_params), start, stop,
-                    self.base_seed)
-
-        if self.workers == 1 or len(todo) <= 1:
-            for index in todo:
-                try:
-                    payload = execute_chunk(*args_for(index))
-                except Exception as exc:
-                    yield index, None, (
-                        f"chunk {index} of scenario "
-                        f"{self.scenario.name!r}: "
-                        f"{type(exc).__name__}: {exc}")
-                    continue
-                yield index, payload, None
-            return
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {pool.submit(execute_chunk, *args_for(i)): i
-                       for i in todo}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                except Exception as exc:
-                    yield index, None, (
-                        f"chunk {index} of scenario "
-                        f"{self.scenario.name!r}: "
-                        f"{type(exc).__name__}: {exc}")
-                    continue
-                yield index, payload, None
+    def _chunk_error(self, index: int, exc: Exception) -> str:
+        """A failed chunk's error text, naming the chunk and scenario."""
+        return (f"chunk {index} of scenario {self.scenario.name!r}: "
+                f"{type(exc).__name__}: {exc}")

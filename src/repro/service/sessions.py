@@ -43,6 +43,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from repro.checks.runtime import new_condition, watch_guarded
+from repro.scaleout import key_hash
 from repro.scenarios.backends import EpochReport, make_backend
 from repro.scenarios.runner import ScenarioReport, ScenarioRunner
 from repro.scenarios.scenario import Scenario
@@ -503,12 +504,7 @@ class SessionKey:
 
     @property
     def config_hash(self) -> str:
-        import hashlib
-        payload = json.dumps({"spec": self.spec_name,
-                              "version": self.version,
-                              "config": self.config},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return key_hash(self)
 
 
 class SessionStore:

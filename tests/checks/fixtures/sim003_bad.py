@@ -26,10 +26,3 @@ class LonelySnapshot:
 
     def snapshot(self):
         return {"state": list(self._state)}
-
-
-class BrokenExecutor:
-    """run() cannot be called as run(tasks)."""
-
-    def run(self, tasks, pool, timeout):
-        return list(tasks)

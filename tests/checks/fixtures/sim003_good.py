@@ -1,4 +1,4 @@
-"""SIM003 fixture: conforming backend and executor. Never imported."""
+"""SIM003 fixture: a conforming backend. Never imported."""
 
 from typing import Protocol, runtime_checkable
 
@@ -30,8 +30,3 @@ class GoodBackend:
 
     def restore(self, state):
         self._epoch = int(state["epoch"])
-
-
-class GoodExecutor:
-    def run(self, tasks):
-        yield from ((task, None) for task in tasks)

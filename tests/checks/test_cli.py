@@ -1,5 +1,7 @@
 """The ``repro check`` CLI subcommand end to end."""
 
+import pytest
+
 from repro.cli import main
 
 BAD = "def f(acc=[]):\n    return acc\n"
@@ -62,3 +64,25 @@ class TestCheckCommand:
         # gate; it must run clean.
         code, out = run_cli(["check"], capsys)
         assert code == 0, out
+
+    def test_default_invocation_outside_the_repo_root(
+            self, tmp_path, monkeypatch, capsys):
+        # Elsewhere the package's own tree is checked, with the tests/
+        # tree of the repo that holds it indexed: SIM006 must still
+        # find the oracles under tests/oracles/.
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(["check"], capsys)
+        assert code == 0, out
+        assert " 0 finding(s), 0 parse error(s)" in out
+
+    def test_missing_test_tree_is_an_error(self, tmp_path, monkeypatch):
+        # A src/repro without a tests/ beside it cannot be gated:
+        # the command names the missing index instead of reporting
+        # findings the index would have cleared.
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check"])
+        message = str(excinfo.value.code)
+        assert message.startswith("check: no test tree to index at ")
+        assert str(tmp_path.resolve() / "tests") in message

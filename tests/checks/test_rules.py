@@ -84,7 +84,6 @@ class TestSIM003Details:
             "HalfBackend.step:signature",
             "HalfBackend.pair",
             "LonelySnapshot.pair",
-            "BrokenExecutor.run:signature",
         }
 
     def test_protocol_definitions_exempt(self):

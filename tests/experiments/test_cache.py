@@ -1,10 +1,14 @@
-"""ResultCache: unbounded store, version guard, clear races."""
+"""ResultCache: unbounded store, version guard, clear races, and the
+content hash that names every entry."""
 
 import json
 from pathlib import Path
 
+from repro.experiments import get_experiment
 from repro.experiments.cache import ResultCache
 from repro.experiments.spec import ExperimentSpec
+from repro.scenarios import ShardedScenarioRunner, get_scenario
+from repro.service.sessions import SessionKey
 
 
 def factory(config, seed):
@@ -82,3 +86,27 @@ class TestClearRace:
         monkeypatch.setattr(Path, "unlink", racing_unlink)
         assert cache.clear() == 2  # the two we actually removed
         assert len(cache) == 0
+
+
+class TestPinnedKeyHashes:
+    """Sweep tasks, replay chunks and service sessions share one
+    content hash. These digests name files already on disk (sweep
+    results, chunk checkpoints, suspended sessions), so a change to
+    the hash would orphan every one of them."""
+
+    def test_session_key(self):
+        assert SessionKey("s0001").config_hash == (
+            "bfa73a32f7a6cc8eb0efc1c26a788986"
+            "d794f03f5ffb0e3f6ef05075905ab8ec")
+
+    def test_chunk_key(self):
+        runner = ShardedScenarioRunner(get_scenario("week_cori"), "awgr")
+        assert runner.chunk_key(0, 1440).config_hash == (
+            "b2df1a82a39a7ad3411f9912676352cd"
+            "ee43013121bb39663a1113e8b5268db3")
+
+    def test_sweep_task(self):
+        task = get_experiment("fig8_latency_sensitivity").tasks()[0]
+        assert task.config_hash == (
+            "51db931ba85a6fb6e4fa5591bcaa7dc0"
+            "1e88fcd0b901e654a24d745e4638a175")

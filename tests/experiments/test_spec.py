@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.spec import (
-    ExperimentSpec,
-    canonical_json,
-    derive_seed,
-    stable_hash,
-)
+from repro.experiments.spec import ExperimentSpec, derive_seed
+from repro.scaleout import canonical_json, stable_hash
 
 
 def dummy_factory(config, seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.spec import canonical_json
+from repro.scaleout import canonical_json
 from repro.scenarios import (
     Episode,
     Scenario,

@@ -100,7 +100,7 @@ class TestShardInvariance:
         for start, stop in ((2, 9), (3, 1)):
             with pytest.raises(ValueError, match="epoch range"):
                 execute_chunk(config, "awgr", {}, start, stop,
-                              base_seed=0)
+                              base_seed=0, boundary="reset")
 
 
 class TestChunkRanges:
@@ -444,11 +444,11 @@ class TestEventsReplayed:
         # 0 (the old code counted every scripted event).
         scenario = small_scenario()
         payload = execute_chunk(scenario.to_config(), "electronic",
-                                {}, 4, 6, base_seed=0)
+                                {}, 4, 6, base_seed=0, boundary="reset")
         assert payload["events_replayed"] == 0
         # The AWGR backend applies both the failure and the repair.
         payload = execute_chunk(scenario.to_config(), "awgr", {},
-                                5, 6, base_seed=0)
+                                5, 6, base_seed=0, boundary="reset")
         assert payload["events_replayed"] == 2
 
     def test_rows_surface_replay_cost(self):
@@ -475,6 +475,20 @@ class TestValidation:
     def test_workers_positive(self):
         with pytest.raises(ValueError):
             ShardedScenarioRunner(small_scenario(), workers=0)
+
+    def test_carry_rejects_a_pool(self):
+        # Carry chunks chain through snapshots and run inline; a pool
+        # width there used to be accepted and silently ignored.
+        with pytest.raises(ValueError, match='boundary="reset"'):
+            ShardedScenarioRunner(small_scenario(), boundary="carry",
+                                  workers=2)
+        ShardedScenarioRunner(small_scenario(), boundary="reset",
+                              workers=2)
+
+    def test_execute_chunk_needs_a_boundary(self):
+        with pytest.raises(TypeError, match="boundary"):
+            execute_chunk(small_scenario().to_config(), "awgr", {}, 0, 2,
+                          0)
 
 
 class TestErrorContext:

@@ -98,6 +98,41 @@ class TestSweep:
         assert main(argv) == 0
         assert "0 cached, 2 run" in capsys.readouterr().out
 
+    def test_shards_converge_through_one_cache(self, capsys, tmp_path):
+        strip = lambda s: [ln for ln in s.splitlines()
+                           if " tasks (" not in ln]
+        base = ["sweep", "ablation_staleness", "--workers", "1"]
+        assert main(base + ["--no-cache"]) == 0
+        plain = capsys.readouterr().out
+        cache = ["--cache-dir", str(tmp_path)]
+        for shard in ("0/2", "1/2"):
+            assert main(base + cache + ["--shard", shard]) == 0
+        capsys.readouterr()
+        assert main(base + cache) == 0
+        assembled = capsys.readouterr().out
+        assert "4 cached, 0 run" in assembled
+        assert strip(assembled) == strip(plain)
+
+    def test_shard_needs_the_cache(self):
+        with pytest.raises(SystemExit, match="sweep: sharding needs"):
+            main(["sweep", "indirect_routing", "--shard", "0/2",
+                  "--no-cache"])
+
+    def test_malformed_shard_errors(self, tmp_path):
+        for shard, message in (("0-2", "sweep: --shard must look like"),
+                               ("x/2", "sweep: --shard must look like"),
+                               ("2/2", r"sweep: --shard index must be")):
+            with pytest.raises(SystemExit, match=message):
+                main(["sweep", "indirect_routing", "--shard", shard,
+                      "--cache-dir", str(tmp_path)])
+
+    def test_executor_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "indirect_routing", "--no-cache",
+                  "--executor", "inline"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "--executor" in capsys.readouterr().err
+
     def test_list_includes_scenario_sweeps(self, capsys):
         assert main(["sweep", "--list"]) == 0
         out = capsys.readouterr().out
@@ -144,6 +179,15 @@ class TestScenario:
             assert "diurnal_cori" in out
             assert "indirect_fraction" in out
             assert "events_applied" in out
+
+    def test_carry_chunks_reject_a_pool(self, tmp_path):
+        # Carry is the default boundary; its chunks run inline, so a
+        # pool width is an error rather than silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "--demo", "--shards", "1", "--workers", "2",
+                  "--chunk-epochs", "2", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code.startswith("scenario: ")
+        assert 'boundary="reset"' in excinfo.value.code
 
     def test_repeats_reports_ci(self, capsys):
         assert main(["scenario", "--demo", "--epochs", "2",

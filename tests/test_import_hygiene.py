@@ -9,7 +9,9 @@ clean ``sys.modules`` can be observed.
 
 The service imports the lock sanitizer, :mod:`repro.checks.runtime`,
 and nothing else of the checker: the linter's engine and rules load
-only for ``repro check``.
+only for ``repro check``. Neither the scenario engine nor the service
+loads the sweep engine: the fan-out and the cache-key hash they share
+with it live in :mod:`repro.scaleout`.
 
 The scalar oracles under ``tests/oracles/`` are the other direction:
 production must never run them, so nothing under ``src/`` imports the
@@ -56,6 +58,23 @@ def test_service_import_loads_only_the_sanitizer():
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == str(["repro.checks",
                                          "repro.checks.runtime"])
+
+
+EXPERIMENTS_PROBE = """
+import sys
+import repro.scenarios, repro.service
+print(sorted(m for m in sys.modules
+             if m == "repro.experiments"
+             or m.startswith("repro.experiments.")))
+"""
+
+
+def test_scenarios_and_service_load_no_sweep_engine():
+    result = subprocess.run(
+        [sys.executable, "-c", EXPERIMENTS_PROBE], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 TESTS_PROBE = """
