@@ -263,19 +263,9 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         scenario = scenario.with_epochs(args.epochs)
     title = f"Scenario '{scenario.name}' on {args.backend}"
     if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit("scenario: --shards must be >= 1")
         if args.repeats > 1:
             raise SystemExit("scenario: --repeats and --shards are "
                              "mutually exclusive")
-        if (args.shard_index is not None
-                and not 0 <= args.shard_index < args.shards):
-            raise SystemExit("scenario: --shard-index must be in "
-                             "[0, --shards)")
-        if args.chunk_epochs < 1:
-            raise SystemExit("scenario: --chunk-epochs must be >= 1")
-        if args.workers < 1:
-            raise SystemExit("scenario: --workers must be >= 1")
         from repro.experiments import ResultCache
         try:
             runner = ShardedScenarioRunner(
@@ -283,9 +273,12 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
                 chunk_epochs=args.chunk_epochs, boundary=args.boundary,
                 shards=args.shards,
                 shard_index=args.shard_index, base_seed=args.seed,
-                cache=ResultCache(args.cache_dir), workers=args.workers)
+                workers=args.workers)
         except ValueError as exc:
             raise SystemExit(f"scenario: {exc}") from None
+        # The cache creates its directory, so it comes only once the
+        # runner has accepted the arguments.
+        runner.cache = ResultCache(args.cache_dir)
         result = runner.run(resume=args.resume)
         print(render_table(
             result.rows(),

@@ -112,15 +112,6 @@ class WSSNetworkSimulator:
             gbps_per_wavelength=self.gbps_per_wavelength)
         self._slot = 0
 
-    def snapshot(self) -> dict:
-        """JSON-stable capture of the slot clock plus fabric state."""
-        return {"slot": self._slot, "fabric": self.fabric.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot` (accepts JSON-decoded dicts)."""
-        self._slot = int(state["slot"])
-        self.fabric.restore(state["fabric"])
-
     @staticmethod
     def demand_matrix(batch: FlowBatch, n_nodes: int) -> np.ndarray:
         """Aggregate a flow batch into an (N, N) Gbps demand matrix.

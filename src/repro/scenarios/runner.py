@@ -14,16 +14,36 @@ a :class:`ScenarioReport` whose aggregates (accepted / blocked Gbps,
 indirect-route fraction, p50/p99 per-flow slowdown) reduce through
 :mod:`repro.analysis.stats` and flatten to the JSON-stable metrics
 dict the sweep engine caches.
+
+:func:`replay_to` is the one checkpoint mechanism: it builds a backend,
+restores the newest backend snapshot at or before a target epoch and
+plays forward to it. A carry-mode chunk starts from its predecessor's
+end-of-chunk snapshot through it, and a service session rebuilds its
+live backend through it after a resume, a recovery or a fork. Every
+record that carries a snapshot is stamped :data:`CHECKPOINT_FORMAT`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import mean_ci, quantiles
-from repro.scenarios.backends import EpochReport, FabricBackend
+from repro.scenarios.backends import (EpochReport, FabricBackend,
+                                      make_backend)
 from repro.scenarios.scenario import Scenario
+
+#: Bump when a record that carries a backend snapshot changes shape
+#: (carry-mode chunk checkpoints, suspended session records): retires
+#: every such record on disk. Part of every ``ChunkKey`` and
+#: ``SessionKey`` hash. v2: chunk payloads carry the boundary mode and
+#: ``events_replayed`` counts only applied events. v3: the AWGR
+#: simulator's expiry buckets are plain lists of sub-slot token
+#: batches. v4: one piggyback board, and AWGR occupancy and board
+#: arrays travel as compressed typed envelopes. v5: WSS switch
+#: assignments travel as compressed typed envelopes, and session event
+#: totals are derived from ``event_counts``, not stored.
+CHECKPOINT_FORMAT = 5
 
 
 @dataclass
@@ -117,6 +137,18 @@ class ScenarioReport:
         """Per-epoch table rows (the streaming metrics view)."""
         return [e.as_row() for e in self.epochs]
 
+    @classmethod
+    def from_payloads(cls, scenario: str, backend: str,
+                      epochs: Iterable[dict], events_applied: int,
+                      events_ignored: int) -> "ScenarioReport":
+        """A report over JSON epoch payloads
+        (:meth:`~repro.scenarios.backends.EpochReport.to_dict`), the
+        form chunk checkpoints and session records keep epochs in."""
+        return cls(scenario=scenario, backend=backend,
+                   epochs=[EpochReport.from_dict(e) for e in epochs],
+                   events_applied=events_applied,
+                   events_ignored=events_ignored)
+
 
 def play_epochs(scenario: Scenario, backends: Sequence[FabricBackend],
                 reports: Sequence[ScenarioReport], start: int,
@@ -152,6 +184,37 @@ def play_epochs(scenario: Scenario, backends: Sequence[FabricBackend],
             stepped = backend.step(batch)
             stepped.epoch = epoch
             report.epochs.append(stepped)
+
+
+def replay_to(scenario: Scenario, backend: str, params: dict, seed: int,
+              checkpoints: Mapping[int, dict], cursor: int
+              ) -> tuple[FabricBackend, ScenarioReport]:
+    """A freshly built backend at epoch ``cursor`` of ``scenario``, and
+    the report of the epochs played to get there.
+
+    Builds ``backend`` exactly as a monolithic run does (``seed`` seeds
+    it and every epoch's traffic), restores the newest of
+    ``checkpoints`` (``{epoch: snapshot}``) at or before ``cursor`` —
+    with none, the fresh backend is the epoch-0 state — and plays the
+    epochs from there to ``cursor`` with :func:`play_epochs`. Exact
+    wherever ``cursor`` sits: per-epoch seeding makes each epoch's
+    traffic independent of what ran before, and a restored snapshot
+    continues bit-identically to the backend it was taken from. The
+    snapshots are only read.
+    """
+    anchors = [epoch for epoch in checkpoints if epoch <= cursor]
+    start = max(anchors, default=0)
+    fabric = make_backend(backend, scenario.n_nodes, seed=seed, **params)
+    if anchors:
+        try:
+            fabric.restore(checkpoints[start])
+        except ValueError as exc:
+            raise ValueError(
+                f"scenario {scenario.name!r} epochs [{start}, {cursor}): "
+                f"cannot restore the carried snapshot: {exc}") from exc
+    report = ScenarioReport(scenario=scenario.name, backend=backend)
+    play_epochs(scenario, (fabric,), (report,), start, cursor, seed)
+    return fabric, report
 
 
 @dataclass

@@ -36,24 +36,27 @@ Chunk-boundary semantics come in two modes (``boundary=``):
   order — the coordination-free story above.
 * ``"carry"`` (the default) — each chunk checkpoint also stores the
   end-of-chunk backend ``snapshot()``, and chunk ``k`` *restores*
-  chunk ``k-1``'s snapshot instead of replaying pre-chunk events:
-  in-flight flows, wavelength occupancy, and RNG state all cross the
-  boundary, so the merged aggregates are **bit-identical to a
-  monolithic** :class:`~repro.scenarios.runner.ScenarioRunner` run at
-  any chunk size — and the boundary costs O(state) restore instead of
-  the reset mode's O(events x chunk index) replay. The price is
-  sequential dependence: chunks pipeline in index order through the
-  shared cache (a shard can only compute a chunk once its
-  predecessor's checkpoint exists), so carry mode trades reset
-  mode's any-chunk-anywhere sharding for exactness. Resume still
-  works chunk-by-chunk: an interrupted run picks up from the last
-  checkpointed snapshot.
+  chunk ``k-1``'s snapshot instead of replaying pre-chunk events,
+  through :func:`~repro.scenarios.runner.replay_to`, the checkpoint
+  mechanism service sessions use too: in-flight flows, wavelength
+  occupancy, and RNG state all cross the boundary, so the merged
+  aggregates are **bit-identical to a monolithic**
+  :class:`~repro.scenarios.runner.ScenarioRunner` run at any chunk
+  size — and the boundary costs O(state) restore instead of the reset
+  mode's O(events x chunk index) replay. The price is sequential
+  dependence: chunks pipeline in index order through the shared cache
+  (a shard can only compute a chunk once its predecessor's checkpoint
+  exists), so carry mode trades reset mode's any-chunk-anywhere
+  sharding for exactness. Resume still works chunk-by-chunk: an
+  interrupted run picks up from the last checkpointed snapshot.
 
 In both modes a chunk's epochs run through the shared epoch kernel
 :func:`~repro.scenarios.runner.play_epochs`, so a single-chunk run is
 bit-identical to a monolithic
-:class:`~repro.scenarios.runner.ScenarioRunner` run whose backend was
-seeded with :func:`chunk_backend_seed`.
+:class:`~repro.scenarios.runner.ScenarioRunner` run with a
+``base_seed`` backend. :meth:`ShardedScenarioRunner.run` is the one
+chunk loop for both modes: a carry chunk differs only in taking its
+predecessor's snapshot and running inline, in index order.
 
 Reset-mode chunks fan out through :func:`repro.scaleout.fan_out`, the
 process pool the sweep runner uses too, and a chunk's cache identity
@@ -73,20 +76,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.scaleout import fan_out, key_hash
-from repro.scenarios.backends import EpochReport, make_backend
-from repro.scenarios.runner import ScenarioReport, play_epochs
+from repro.scenarios.backends import make_backend
+from repro.scenarios.runner import (CHECKPOINT_FORMAT, ScenarioReport,
+                                    play_epochs, replay_to)
 from repro.scenarios.scenario import Scenario, derive_epoch_seed
-
-#: Bump when chunk-execution semantics change: invalidates every
-#: checkpointed chunk (the chunk analog of a spec's ``version``).
-#: v2: payloads carry the boundary mode (plus, in carry mode, the
-#: end-of-chunk backend snapshot) and ``events_replayed`` counts only
-#: events the backend actually applied. v3: the AWGR simulator's
-#: expiry buckets are plain lists of sub-slot token batches. v4: one
-#: piggyback board, and AWGR occupancy and board arrays travel as
-#: compressed typed envelopes.
-#: v5: WSS switch assignments travel as compressed typed envelopes.
-CHUNK_FORMAT = 5
 
 #: Chunk-boundary modes :class:`ShardedScenarioRunner` accepts.
 BOUNDARY_MODES = ("reset", "carry")
@@ -106,15 +99,18 @@ def chunk_ranges(n_epochs: int,
 
 def chunk_backend_seed(scenario: Scenario | str, start: int,
                        base_seed: int = 0) -> int:
-    """RNG seed for the fresh backend a chunk starting at ``start``
-    constructs — a pure function of the chunk's identity, so any
-    shard computing the chunk agrees.
+    """RNG seed of a chunk starting at ``start``: the fresh backend a
+    reset-mode chunk constructs, and the ``seed`` of every chunk's
+    cache key — a pure function of the chunk's identity, so any shard
+    computing the chunk agrees.
 
     The chunk at epoch 0 uses ``base_seed`` directly: a single-chunk
     replay is then bit-identical to the monolithic per-epoch-seeded
     :class:`~repro.scenarios.runner.ScenarioRunner` run with a
     ``seed=base_seed`` backend (what ``repro scenario`` without
-    ``--shards`` builds). Later chunks derive theirs counter-style.
+    ``--shards`` builds). Later chunks derive theirs counter-style. A
+    carry-mode chunk builds the monolithic run's ``base_seed`` backend
+    instead: the restored snapshot replaces all of its seeded state.
     """
     if start == 0:
         return base_seed
@@ -156,42 +152,42 @@ def execute_chunk(scenario_config: dict, backend: str,
     firing inside the chunk count toward the applied/ignored totals,
     so chunk sums equal the monolithic run's.
 
-    In ``"carry"`` mode the previous chunk's end-of-chunk ``snapshot``
-    is restored instead (nothing is replayed — in-flight flows,
-    occupancy, and RNG state arrive via the snapshot) and the payload
-    gains a ``"snapshot"`` key holding this chunk's own end state for
-    the next chunk to restore.
+    In ``"carry"`` mode :func:`~repro.scenarios.runner.replay_to`
+    restores the previous chunk's end-of-chunk ``snapshot`` instead
+    and plays the chunk from it (nothing is replayed — in-flight
+    flows, occupancy, and RNG state arrive via the snapshot), and the
+    payload gains a ``"snapshot"`` key holding this chunk's own end
+    state for the next chunk to restore.
     """
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"unknown boundary {boundary!r} "
                          f"(known: {BOUNDARY_MODES})")
+    if not 0 <= start <= stop:
+        raise ValueError(f"epoch range [{start}, {stop}) is inverted "
+                         "or negative")
     if boundary == "carry" and start > 0 and snapshot is None:
         raise ValueError(
             f"carry-mode chunk starting at epoch {start} needs the "
             "previous chunk's snapshot")
     t0 = time.perf_counter()
     scenario = Scenario.from_config(scenario_config)
-    fabric = make_backend(
-        backend, scenario.n_nodes,
-        seed=chunk_backend_seed(scenario, start, base_seed),
-        **backend_params)
     replayed = 0
     if boundary == "carry":
-        if snapshot is not None:
-            try:
-                fabric.restore(snapshot)
-            except ValueError as exc:
-                raise ValueError(
-                    f"scenario {scenario.name!r} epochs "
-                    f"[{start}, {stop}): cannot restore the carried "
-                    f"snapshot: {exc}") from exc
+        fabric, report = replay_to(
+            scenario, backend, backend_params, base_seed,
+            {} if snapshot is None else {start: snapshot}, stop)
     else:
+        fabric = make_backend(
+            backend, scenario.n_nodes,
+            seed=chunk_backend_seed(scenario, start, base_seed),
+            **backend_params)
         for epoch in range(start):
             for event in scenario.events_at(epoch):
                 if fabric.apply_event(event):
                     replayed += 1
-    report = ScenarioReport(scenario=scenario.name, backend=backend)
-    play_epochs(scenario, (fabric,), (report,), start, stop, base_seed)
+        report = ScenarioReport(scenario=scenario.name, backend=backend)
+        play_epochs(scenario, (fabric,), (report,), start, stop,
+                    base_seed)
     end_state = fabric.snapshot() if boundary == "carry" else None
     payload = {"start": start, "stop": stop, "boundary": boundary,
                "events_applied": report.events_applied,
@@ -268,15 +264,12 @@ class ShardedScenarioResult:
                 f"sharded run incomplete: chunks {missing} pending or "
                 "failed (run the owning shards, or rerun with "
                 "resume=True once their checkpoints exist)")
-        merged = ScenarioReport(scenario=self.scenario,
-                                backend=self.backend)
-        for index in sorted(self.payloads):
-            payload = self.payloads[index]
-            merged.epochs.extend(EpochReport.from_dict(e)
-                                 for e in payload["epochs"])
-            merged.events_applied += int(payload["events_applied"])
-            merged.events_ignored += int(payload["events_ignored"])
-        return merged
+        payloads = [self.payloads[i] for i in sorted(self.payloads)]
+        return ScenarioReport.from_payloads(
+            self.scenario, self.backend,
+            [e for payload in payloads for e in payload["epochs"]],
+            sum(int(p["events_applied"]) for p in payloads),
+            sum(int(p["events_ignored"]) for p in payloads))
 
     def rows(self) -> list[dict]:
         """Per-chunk status table (the shard progress view).
@@ -379,6 +372,8 @@ class ShardedScenarioRunner:
             raise ValueError("shard_index must be in [0, shards)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.chunk_epochs < 1:
+            raise ValueError("chunk_epochs must be >= 1")
         if self.boundary == "carry" and self.workers > 1:
             raise ValueError(
                 f"workers={self.workers} needs boundary=\"reset\": "
@@ -400,7 +395,7 @@ class ShardedScenarioRunner:
         snapshots), so the modes never reuse each other's entries."""
         return ChunkKey(
             spec_name=f"scenario-chunk-{self.scenario.name}",
-            version=CHUNK_FORMAT,
+            version=CHECKPOINT_FORMAT,
             config={"scenario": self.scenario.to_config(),
                     "backend": self.backend,
                     "params": dict(self.backend_params),
@@ -425,22 +420,29 @@ class ShardedScenarioRunner:
         multi-shard convergence path. ``resume=False`` recomputes this
         shard's chunks and refreshes their checkpoints in place.
 
-        Carry mode runs chunks inline in index order (each needs its
-        predecessor's snapshot); chunks whose predecessor state is not
-        available — owned by another shard and not yet checkpointed —
-        are left ``pending`` for a later pass to pick up.
+        The one chunk loop: chunks are visited in index order and each
+        is ``cached``, ``pending`` (owned by another shard and not yet
+        checkpointed) or run here. Reset chunks are independent, so
+        they fan out over ``workers`` once every chunk is classified.
+        A carry chunk restores its predecessor's end state, so it runs
+        inline, at once; when that state is unavailable — the
+        predecessor is pending or failed — the chunk stays ``pending``
+        for a later pass instead of continuing from wrong state.
         """
-        if self.boundary == "carry":
-            return self._run_carry(resume)
         t0 = time.perf_counter()
-        ranges = self.ranges()
         result = ShardedScenarioResult(
             scenario=self.scenario.name, backend=self.backend,
             chunk_epochs=self.chunk_epochs, shards=self.shards,
             shard_index=self.shard_index, boundary=self.boundary)
+        execute = partial(execute_chunk, self.scenario.to_config(),
+                          self.backend, dict(self.backend_params),
+                          base_seed=self.base_seed,
+                          boundary=self.boundary)
+        carry = self.boundary == "carry"
         statuses: dict[int, ChunkStatus] = {}
-        todo: list[int] = []
-        for index, (start, stop) in enumerate(ranges):
+        todo: list[tuple[int, int]] = []
+        carried: dict | None = None
+        for index, (start, stop) in enumerate(self.ranges()):
             hit = None
             if self.cache is not None and resume:
                 hit = self.cache.load(self.chunk_key(start, stop))
@@ -448,18 +450,31 @@ class ShardedScenarioRunner:
                 result.payloads[index] = hit
                 statuses[index] = ChunkStatus(index, start, stop,
                                               "cached")
-            elif self._owns(index):
-                todo.append(index)
-            else:
+                carried = hit.get("snapshot")
+            elif not self._owns(index) or (carry and index > 0
+                                           and carried is None):
                 statuses[index] = ChunkStatus(index, start, stop,
                                               "pending")
+                carried = None
+            elif carry:
+                self._settle(result, statuses, fan_out(
+                    partial(execute, snapshot=carried),
+                    [(start, stop)], 1))
+                carried = result.payloads.get(index, {}).get("snapshot")
+            else:
+                todo.append((start, stop))
+        self._settle(result, statuses,
+                     fan_out(execute, todo, self.workers))
+        result.chunks = [statuses[i] for i in sorted(statuses)]
+        result.wall_s = time.perf_counter() - t0
+        return result
 
-        execute = partial(execute_chunk, self.scenario.to_config(),
-                          self.backend, dict(self.backend_params),
-                          base_seed=self.base_seed, boundary="reset")
-        for (start, stop), payload, error in fan_out(
-                execute, [ranges[i] for i in todo], self.workers):
-            index = ranges.index((start, stop))
+    def _settle(self, result: ShardedScenarioResult,
+                statuses: dict[int, ChunkStatus], outcomes) -> None:
+        """Record each ``fan_out`` outcome as a computed chunk (its
+        payload checkpointed) or a failed one."""
+        for (start, stop), payload, error in outcomes:
+            index = start // self.chunk_epochs
             if error is not None:
                 statuses[index] = ChunkStatus(
                     index, start, stop, "failed",
@@ -471,69 +486,6 @@ class ShardedScenarioRunner:
             statuses[index] = ChunkStatus(
                 index, start, stop, "computed",
                 duration_s=float(payload.get("duration_s", 0.0)))
-
-        result.chunks = [statuses[i] for i in sorted(statuses)]
-        result.wall_s = time.perf_counter() - t0
-        return result
-
-    def _run_carry(self, resume: bool) -> ShardedScenarioResult:
-        """Carry-mode execution: chunks pipeline in index order, each
-        restoring its predecessor's checkpointed snapshot.
-
-        The carried state forms a chain, so this never fans out over a
-        process pool: chunk ``k`` cannot start before chunk ``k-1``
-        finished. Sharding still composes — a shard computes its owned
-        chunks whenever the predecessor's checkpoint is already in the
-        shared cache and leaves the rest ``pending``; alternating
-        shard passes (or one ``shard_index=None`` resume) converge on
-        the full replay. A failed or unavailable chunk invalidates the
-        carried snapshot, so every later chunk without its own
-        checkpoint stays pending rather than continuing from wrong
-        state.
-        """
-        t0 = time.perf_counter()
-        result = ShardedScenarioResult(
-            scenario=self.scenario.name, backend=self.backend,
-            chunk_epochs=self.chunk_epochs, shards=self.shards,
-            shard_index=self.shard_index, boundary=self.boundary)
-        scenario_config = self.scenario.to_config()
-        carried: dict | None = None
-        for index, (start, stop) in enumerate(self.ranges()):
-            hit = None
-            if self.cache is not None and resume:
-                hit = self.cache.load(self.chunk_key(start, stop))
-            if hit is not None:
-                result.payloads[index] = hit
-                result.chunks.append(
-                    ChunkStatus(index, start, stop, "cached"))
-                carried = hit.get("snapshot")
-                continue
-            if not self._owns(index) or (index > 0 and carried is None):
-                result.chunks.append(
-                    ChunkStatus(index, start, stop, "pending"))
-                carried = None
-                continue
-            try:
-                payload = execute_chunk(
-                    scenario_config, self.backend,
-                    dict(self.backend_params), start, stop,
-                    self.base_seed, boundary="carry",
-                    snapshot=carried)
-            except Exception as exc:
-                result.chunks.append(ChunkStatus(
-                    index, start, stop, "failed",
-                    error=self._chunk_error(index, exc)))
-                carried = None
-                continue
-            if self.cache is not None:
-                self.cache.store(self.chunk_key(start, stop), payload)
-            result.payloads[index] = payload
-            result.chunks.append(ChunkStatus(
-                index, start, stop, "computed",
-                duration_s=float(payload.get("duration_s", 0.0))))
-            carried = payload["snapshot"]
-        result.wall_s = time.perf_counter() - t0
-        return result
 
     def _chunk_error(self, index: int, exc: Exception) -> str:
         """A failed chunk's error text, naming the chunk and scenario."""

@@ -14,11 +14,9 @@ guarantee: restore + step is bit-identical to never stopping.
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import ServiceGateway
 from repro.service.pool import SessionNotFound, SessionPool
-from repro.service.sessions import (SESSION_FORMAT, SESSION_STATES,
-                                    Session, SessionStore)
+from repro.service.sessions import SESSION_STATES, Session, SessionStore
 
 __all__ = [
-    "SESSION_FORMAT",
     "SESSION_STATES",
     "ServiceClient",
     "ServiceError",

@@ -16,7 +16,7 @@ Sessions checkpoint their backend snapshot every K epochs (their
 slice: the pool catches the failure, rolls the session back to its
 newest checkpoint (:meth:`~repro.service.sessions.Session.recover` —
 exact, by the snapshot guarantee), and requeues it. After
-``max_retries`` consecutive failed slices the session is marked
+:data:`MAX_RETRIES` consecutive failed slices the session is marked
 failed rather than looping forever.
 
 Suspend is cooperative: the pool sets the session's
@@ -24,7 +24,9 @@ Suspend is cooperative: the pool sets the session's
 epoch boundary, and the pool serializes the session into the
 :class:`~repro.service.sessions.SessionStore` and drops the live
 object. Resume re-hydrates from the store (same process or a fresh
-one — the store is just files) and requeues.
+one — the store is just files) and requeues. A worker decides every
+requeue under the pool lock, where ``suspend()`` and ``delete()`` set
+the flag, so a session they claimed never returns to the queue.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ from repro.scenarios.library import get_scenario
 from repro.scenarios.scenario import Scenario
 from repro.service.sessions import (Session, SessionStore,
                                     TERMINAL_STATES)
+
+
+#: Consecutive failed slices tolerated per session before it is
+#: marked failed.
+MAX_RETRIES = 2
 
 
 class SessionNotFound(KeyError):
@@ -60,14 +67,10 @@ class SessionPool:
         Optional :class:`~repro.service.sessions.SessionStore` for
         suspend/resume durability. Without one, suspend keeps the
         serialized record in memory only.
-    max_retries:
-        Consecutive failed slices tolerated per session before it is
-        marked failed.
     """
 
     def __init__(self, workers: int = 4, slice_epochs: int = 4,
-                 store: SessionStore | None = None,
-                 max_retries: int = 2) -> None:
+                 store: SessionStore | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if slice_epochs < 1:
@@ -75,7 +78,6 @@ class SessionPool:
         self.workers = workers
         self.slice_epochs = slice_epochs
         self.store = store
-        self.max_retries = max_retries
         self.sessions: dict[str, Session] = {}
         self._queue: deque[str] = deque()
         self._lock = new_condition("SessionPool._lock")
@@ -83,9 +85,6 @@ class SessionPool:
         self._running = False
         self._next_id = 1
         self._failures: dict[str, int] = {}
-        #: Test seam: called with the session at the top of every
-        #: slice; raising simulates a worker dying mid-slice.
-        self.fault_hook = None
         # Fleet telemetry (monotonic clock only — SIM002).
         self._started_s: float | None = None
         self._epochs_total = 0
@@ -308,15 +307,17 @@ class SessionPool:
 
     # -- the worker loop -------------------------------------------------------
 
-    def _pop_next(self):
-        """Block for the next runnable session id (None = shutdown)."""
+    def _pop_next(self) -> Session | None:
+        """Block for the next live queued session (None = shutdown)."""
         with self._lock:
-            while self._running and not self._queue:
-                self._lock.wait(timeout=0.5)
-            if not self._running:
-                return None
-            session_id = self._queue.popleft()
-            return self.sessions.get(session_id)
+            while True:
+                while self._running and not self._queue:
+                    self._lock.wait(timeout=0.5)
+                if not self._running:
+                    return None
+                session = self.sessions.get(self._queue.popleft())
+                if session is not None:
+                    return session
 
     def _worker_loop(self) -> None:
         while True:
@@ -324,60 +325,58 @@ class SessionPool:
             if session is None:
                 return
             with session.updated:
-                # Check-and-transition atomically with suspend():
-                # once the flag is up (or the session was suspended/
-                # deleted while queued) the worker must not claim it.
-                if (session.done or session.suspend_requested
-                        or session.state == "suspended"):
+                # Check-and-transition atomically with suspend(): once
+                # the flag is up (or the session left the queue state,
+                # e.g. suspended while queued) the worker must not
+                # claim it.
+                if session.state != "queued" or session.suspend_requested:
                     continue
                 session.state = "running"
                 session.updated.notify_all()
                 start_cursor = session.cursor
+            error = None
             try:
-                if self.fault_hook is not None:
-                    self.fault_hook(session)
                 session.advance(self.slice_epochs)
             except Exception as exc:  # noqa: BLE001 - worker survival
                 session.recover()
+                error = f"{type(exc).__name__}: {exc}"
+            with self._lock:
                 with session.updated:
                     cursor_now = session.cursor
-                with self._lock:
+                # Net the books against what this slice actually kept:
+                # rollback below the slice start un-counts epochs a
+                # previous slice recorded.
+                self._epochs_total += cursor_now - start_cursor
+                if error is None:
+                    self._failures.pop(session.session_id, None)
+                    session.slices += 1
+                    self._slices_total += 1
+                    if (session.first_epoch_s is None and cursor_now
+                            and session.submitted_s is not None):
+                        session.first_epoch_s = time.perf_counter()
+                else:
                     self._recoveries_total += 1
-                    # Net the books against what this slice actually
-                    # kept: rollback below the slice start un-counts
-                    # epochs a previous slice recorded.
-                    self._epochs_total += cursor_now - start_cursor
                     count = self._failures.get(session.session_id, 0) + 1
                     self._failures[session.session_id] = count
-                if count > self.max_retries:
-                    session.fail(f"{type(exc).__name__}: {exc}")
-                else:
-                    session._set_state("queued")
-                    with self._lock:
-                        self._queue.append(session.session_id)
-                        self._lock.notify_all()
-                continue
-            with session.updated:
-                cursor_now = session.cursor
-                suspend_pending = session.suspend_requested
-            with self._lock:
-                self._failures.pop(session.session_id, None)
-                session.slices += 1
-                self._slices_total += 1
-                self._epochs_total += cursor_now - start_cursor
-                if (session.first_epoch_s is None and cursor_now
-                        and session.submitted_s is not None):
-                    session.first_epoch_s = time.perf_counter()
+                    if count > MAX_RETRIES:
+                        session.fail(error)
+                self._requeue(session)
+
+    def _requeue(self, session: Session) -> None:
+        """Park a session out of ``running`` after its slice and queue
+        it again, unless it finished or ``suspend()``/``delete()`` has
+        claimed it (they own its next transition). Called with the
+        pool lock held: the flag is set under it, so no claim can land
+        between this check and the append."""
+        with session.updated:
             if session.done:
-                continue
-            session._set_state("queued")
-            if suspend_pending:
-                # suspend()/delete() owns the next transition; just
-                # park it out of the running state.
-                continue
-            with self._lock:
-                self._queue.append(session.session_id)
-                self._lock.notify_all()
+                return
+            session.state = "queued"
+            session.updated.notify_all()
+            if session.suspend_requested:
+                return
+        self._queue.append(session.session_id)
+        self._lock.notify_all()
 
     # -- telemetry -------------------------------------------------------------
 

@@ -3,12 +3,13 @@
 A :class:`Session` is the service's unit of work — one scenario
 playing against one fabric backend, advanced a few epochs at a time by
 the :class:`~repro.service.pool.SessionPool`. Its durable identity is
-exactly what PR 5's carry-mode chunking proved sufficient: the
-scenario config, the backend's JSON-stable ``snapshot()`` at a
-checkpointed epoch cursor, and the monotonic sequence of
+exactly what carry-mode chunking proved sufficient: the scenario
+config, the backend's JSON-stable ``snapshot()`` at checkpointed epoch
+cursors, and the monotonic sequence of
 :class:`~repro.scenarios.backends.EpochReport` payloads produced so
 far. Everything else (the live backend object, locks, telemetry) is
-process-local and reconstructible.
+process-local and reconstructible: a freshly built backend is the
+epoch-0 state, so a session that never checkpointed needs no snapshot.
 
 That identity buys the three service verbs for free:
 
@@ -22,18 +23,20 @@ That identity buys the three service verbs for free:
   (per-epoch seeds make traffic position-independent, the snapshot
   carries in-flight fabric state and RNG);
 * **fork** — branch a what-if child at any past epoch ``N``: the
-  child restores the parent's checkpointed snapshot at ``N`` (built
-  by replaying forward from the nearest checkpoint when ``N`` falls
-  between two), copies the parent's first ``N`` epoch reports, and
-  diverges under its own scripted events — bit-identical to the
-  parent up to ``N``, sharing no mutable state after it.
+  child starts from the parent's state at ``N`` (replayed forward from
+  the parent's nearest checkpoint), copies the parent's first ``N``
+  epoch reports, and diverges under its own scripted events —
+  bit-identical to the parent up to ``N``, sharing no mutable state
+  after it.
 
 Sessions advance one epoch at a time through
 :meth:`~repro.scenarios.runner.ScenarioRunner.step_epochs`, and
-rebuild a backend at any past epoch (attach, fork) the same way: so
-every epoch runs in :func:`~repro.scenarios.runner.play_epochs`, the
-one epoch loop a monolithic run uses, and the service's epoch streams
-are the scenario engine's, not a reimplementation.
+rebuild a backend at any past epoch (attach, fork) through
+:func:`~repro.scenarios.runner.replay_to`, the checkpoint mechanism
+carry-mode chunks use too: so every epoch runs in
+:func:`~repro.scenarios.runner.play_epochs`, the one epoch loop a
+monolithic run uses, and the service's epoch streams are the scenario
+engine's, not a reimplementation.
 """
 
 from __future__ import annotations
@@ -44,19 +47,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.checks.runtime import new_condition, watch_guarded
 from repro.scaleout import key_hash
-from repro.scenarios.backends import EpochReport, make_backend
-from repro.scenarios.runner import ScenarioReport, ScenarioRunner
+from repro.scenarios.runner import (CHECKPOINT_FORMAT, ScenarioReport,
+                                    ScenarioRunner, replay_to)
 from repro.scenarios.scenario import Scenario
-
-#: Bump when the serialized session record changes shape: retires
-#: every suspended session in every store (the session analog of the
-#: sharded runner's ``CHUNK_FORMAT``). v2: the AWGR simulator's expiry
-#: buckets are plain lists of sub-slot token batches. v3: one piggyback
-#: board, and AWGR occupancy and board arrays travel as compressed
-#: typed envelopes.
-#: v4: WSS switch assignments travel as compressed typed envelopes.
-#: v5: event totals are derived from ``event_counts``, not stored.
-SESSION_FORMAT = 5
 
 #: Lifecycle states a session moves through. ``queued`` sessions sit
 #: in the pool's run queue (or have a suspend/fork pending), running
@@ -87,9 +80,9 @@ class Session:
     Construct through :meth:`create` (fresh), :meth:`from_record`
     (resume), or :meth:`fork` (branch) rather than directly: they
     maintain the invariants the pool relies on — ``reports[i]`` is
-    epoch ``i``'s payload for every ``i < cursor``, and
-    ``checkpoints`` always holds a snapshot at some epoch ``<=
-    cursor`` once the session has ever attached a backend.
+    epoch ``i``'s payload for every ``i < cursor``, and the newest
+    checkpoint at or before any epoch ``<= cursor`` (a freshly built
+    backend when there is none) replays to that epoch's exact state.
     """
 
     session_id: str
@@ -187,46 +180,22 @@ class Session:
         with self.updated:
             return sum(ignored for _, ignored in self.event_counts)
 
-    def _backend_at(self, epoch: int):
-        """A fresh backend at epoch cursor ``epoch``.
-
-        Constructed exactly as a monolithic ``ScenarioRunner`` run
-        would build it, restored from the newest checkpoint at or
-        before ``epoch`` and replayed forward to it (reports for the
-        replayed gap already exist, so the duplicates are discarded)
-        — exact wherever ``epoch`` sits, by per-epoch seeding plus
-        the snapshot guarantee. Never touches the live backend.
-        """
-        with self.updated:
-            anchors = [e for e in self.checkpoints if e <= epoch]
-            at = max(anchors, default=0)
-            snap = (json_roundtrip(self.checkpoints[at])
-                    if anchors else None)
-        backend = make_backend(self.backend_name,
-                               self.scenario.n_nodes,
-                               seed=self.base_seed,
-                               **self.backend_params)
-        if snap is not None:
-            backend.restore(snap)
-        if at < epoch:
-            ScenarioRunner(self.scenario, backend).step_epochs(
-                at, epoch, seed=self.base_seed)
-        return backend
-
     def _attach(self):
-        """Materialize (or reuse) the live backend at ``cursor``."""
+        """Materialize (or reuse) the live backend at ``cursor``,
+        rebuilt from the checkpoints (a fresh backend at epoch 0)."""
         with self.updated:
             if self._backend is not None:
                 return self._backend
             cursor = self.cursor
+            checkpoints = dict(self.checkpoints)
         # Build outside the lock — the expensive part — then commit
         # the attachment under it. Only the owning worker attaches, so
         # the double build this could allow never happens in practice
         # (and would be benign: last one wins).
-        backend = self._backend_at(cursor)
+        backend, _ = replay_to(self.scenario, self.backend_name,
+                               self.backend_params, self.base_seed,
+                               checkpoints, cursor)
         with self.updated:
-            if 0 not in self.checkpoints and self.cursor == 0:
-                self.checkpoints[0] = backend.snapshot()
             self._backend = backend
         return backend
 
@@ -314,9 +283,9 @@ class Session:
     def suspend_snapshot(self) -> None:
         """Snapshot the live backend at the cursor and go suspended.
 
-        With no live backend attached the newest checkpoint already
-        equals the cursor (the :meth:`recover` invariant), so the
-        session is suspendable as-is.
+        With no live backend attached there is nothing to snapshot:
+        the checkpoints already rebuild the cursor's state (a session
+        that never ran needs none).
         """
         with self.updated:
             if self.done:
@@ -325,12 +294,6 @@ class Session:
                     "nothing to suspend")
             if self._backend is not None:
                 self.checkpoints[self.cursor] = self._backend.snapshot()
-            elif self.cursor not in self.checkpoints:
-                # Never attached and never checkpointed: epoch 0.
-                if self.cursor != 0:
-                    self.recover()
-                else:
-                    self._attach()
             self._backend = None
             self.suspend_requested = False
             self.state = "suspended"
@@ -348,7 +311,7 @@ class Session:
 
     def _to_dict_locked(self) -> dict:
         return {
-            "format": SESSION_FORMAT,
+            "format": CHECKPOINT_FORMAT,
             "session_id": self.session_id,
             "scenario": self.scenario.to_config(),
             "backend": self.backend_name,
@@ -369,10 +332,10 @@ class Session:
     @classmethod
     def from_record(cls, record: dict) -> "Session":
         """Inverse of :meth:`to_dict` (accepts JSON-decoded dicts)."""
-        if record.get("format") != SESSION_FORMAT:
+        if record.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(
                 f"session record format {record.get('format')!r} != "
-                f"{SESSION_FORMAT}; the store predates this service")
+                f"{CHECKPOINT_FORMAT}; the store predates this service")
         session = cls(
             session_id=record["session_id"],
             scenario=Scenario.from_config(record["scenario"]),
@@ -393,34 +356,25 @@ class Session:
 
     # -- fork ------------------------------------------------------------------
 
-    def snapshot_at(self, epoch: int) -> dict:
-        """Backend snapshot as of epoch cursor ``epoch``.
-
-        Never touches the live backend: a scratch backend restores the
-        nearest checkpoint at or before ``epoch`` and replays forward
-        (exact, by per-epoch seeding plus the snapshot guarantee), so
-        this is safe while a worker is advancing the session.
-        """
-        if not 0 <= epoch <= self.cursor:
-            raise ValueError(
-                f"epoch {epoch} outside the computed range "
-                f"[0, {self.cursor}]")
-        return self._backend_at(epoch).snapshot()
-
     def fork(self, child_id: str, at_epoch: int,
              events: tuple = (), n_epochs: int | None = None
              ) -> "Session":
         """Branch a what-if child that diverges from epoch ``at_epoch``.
 
-        The child restores this session's state at ``at_epoch``
-        (checkpointed, or rebuilt exactly from the nearest checkpoint)
-        and carries a copy of the first ``at_epoch`` epoch reports, so
-        it is bit-identical to the parent up to the fork point. New
+        The child starts from this session's state at ``at_epoch`` —
+        rebuilt on a scratch backend from the nearest checkpoint, so
+        this is safe while a worker is advancing the session — and
+        carries a copy of the first ``at_epoch`` epoch reports, so it
+        is bit-identical to the parent up to the fork point. New
         ``events`` (all scripted at or after ``at_epoch``) and an
         optional ``n_epochs`` override shape the divergent future.
         Every carried payload is deep-copied through the JSON codec:
         the child shares no mutable state with the parent.
         """
+        if not 0 <= at_epoch <= self.cursor:
+            raise ValueError(
+                f"epoch {at_epoch} outside the computed range "
+                f"[0, {self.cursor}]")
         for event in events:
             if event.epoch < at_epoch:
                 raise ValueError(
@@ -431,17 +385,23 @@ class Session:
             raise ValueError(
                 f"fork horizon {n_epochs} is before the fork point "
                 f"{at_epoch}")
-        snapshot = self.snapshot_at(at_epoch)
+        with self.updated:
+            checkpoints = dict(self.checkpoints)
+            carried = json_roundtrip({
+                "reports": self.reports[:at_epoch],
+                "event_counts": self.event_counts[:at_epoch]})
+        # The fork point's state comes from the parent's scenario: an
+        # n_epochs override rescales envelopes that scale with the
+        # horizon, so the child's scenario would not replay the prefix.
+        backend, _ = replay_to(self.scenario, self.backend_name,
+                               self.backend_params, self.base_seed,
+                               checkpoints, at_epoch)
         scenario = self.scenario
         if events:
             scenario = replace(scenario,
                                events=scenario.events + tuple(events))
         if n_epochs is not None:
             scenario = scenario.with_epochs(n_epochs)
-        with self.updated:
-            carried = json_roundtrip({
-                "reports": self.reports[:at_epoch],
-                "event_counts": self.event_counts[:at_epoch]})
         child = Session(
             session_id=child_id,
             scenario=scenario,
@@ -452,7 +412,7 @@ class Session:
             cursor=at_epoch,
             reports=carried["reports"],
             event_counts=carried["event_counts"],
-            checkpoints={at_epoch: json_roundtrip(snapshot)},
+            checkpoints={at_epoch: json_roundtrip(backend.snapshot())},
             parent=self.session_id,
             forked_at=at_epoch)
         return child
@@ -465,12 +425,9 @@ class Session:
         with self.updated:
             payloads = [dict(r) for r in self.reports]
             applied, ignored = self.events_applied, self.events_ignored
-        merged = ScenarioReport(scenario=self.scenario.name,
-                                backend=self.backend_name)
-        merged.epochs = [EpochReport.from_dict(p) for p in payloads]
-        merged.events_applied = applied
-        merged.events_ignored = ignored
-        return merged
+        return ScenarioReport.from_payloads(
+            self.scenario.name, self.backend_name, payloads, applied,
+            ignored)
 
     def epochs_since(self, since: int) -> list:
         """Epoch payload slice ``[since, cursor)`` (incremental poll)."""
@@ -494,7 +451,7 @@ class SessionKey:
     reads). Keyed purely by session id: the record is mutable state,
     so successive saves overwrite the same entry."""
 
-    version = SESSION_FORMAT
+    version = CHECKPOINT_FORMAT
     seed = 0
 
     def __init__(self, session_id: str) -> None:

@@ -397,6 +397,29 @@ class TestCarryBoundaries:
         assert (resumed.report().as_dict()
                 == uninterrupted.report().as_dict())
 
+    def test_truncated_checkpoint_recomputes_only_that_chunk(
+            self, tmp_path):
+        # A torn carry checkpoint reads as a miss: resume recomputes
+        # just that chunk from its predecessor's snapshot, and the
+        # next chunk's intact checkpoint still loads.
+        scenario = sustained_scenario()
+        cache = ResultCache(tmp_path)
+        runner = ShardedScenarioRunner(scenario, "awgr", chunk_epochs=3,
+                                       boundary="carry", base_seed=2,
+                                       cache=cache)
+        runner.run()
+        path = cache.path_for(runner.chunk_key(3, 6))
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        resumed = runner.run(resume=True)
+        assert [c.state for c in resumed.chunks] == [
+            "cached", "computed", "cached"]
+        mono = ScenarioRunner(
+            scenario, make_backend("awgr", scenario.n_nodes, seed=2),
+        ).run(seed=2)
+        assert resumed.report().as_dict() == mono.as_dict()
+        assert resumed.report().rows() == mono.rows()
+
     def test_carry_and_reset_checkpoints_never_mix(self, tmp_path):
         scenario = sustained_scenario()
         cache = ResultCache(tmp_path)

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.checks.runtime import armed, get_sanitizer
 from repro.experiments import ResultCache
 from repro.scenarios import Episode, Scenario
 from repro.service import SessionNotFound, SessionPool, SessionStore
@@ -33,13 +34,20 @@ def reference_session(scenario, seed=0):
 
 
 class TestScheduling:
-    def test_single_worker_rounds_are_exact_permutations(self):
+    def test_single_worker_rounds_are_exact_permutations(
+            self, monkeypatch):
         """With one worker the recorded slice order IS the FIFO pop
         order: every scheduling round runs each live session exactly
         once before any session runs twice."""
         pool = SessionPool(workers=1, slice_epochs=2)
         pops = []
-        pool.fault_hook = lambda s: pops.append(s.session_id)
+        advance = Session.advance
+
+        def record(session, max_epochs):
+            pops.append(session.session_id)
+            return advance(session, max_epochs)
+
+        monkeypatch.setattr(Session, "advance", record)
         scenario = pool_scenario(n_epochs=6)  # 3 slices per session
         ids = [pool.submit(scenario, base_seed=i).session_id
                for i in range(8)]
@@ -53,7 +61,7 @@ class TestScheduling:
                 f"round {round_index} starved "
                 f"{set(ids) - set(window)}")
 
-    def test_32_sessions_over_4_workers_never_starve(self):
+    def test_32_sessions_over_4_workers_never_starve(self, monkeypatch):
         """The acceptance-criterion load: 32 sessions multiplexed on
         4 workers. FIFO requeue means no session waits more than one
         full round (plus in-flight jitter of at most workers-1
@@ -63,12 +71,14 @@ class TestScheduling:
         pool = SessionPool(workers=workers, slice_epochs=2)
         pops = []
         pop_lock = threading.Lock()
+        advance = Session.advance
 
-        def record(session):
+        def record(session, max_epochs):
             with pop_lock:
                 pops.append(session.session_id)
+            return advance(session, max_epochs)
 
-        pool.fault_hook = record
+        monkeypatch.setattr(Session, "advance", record)
         scenario = pool_scenario(n_epochs=8)  # 4 slices per session
         ids = [pool.submit(scenario, base_seed=i).session_id
                for i in range(32)]
@@ -135,20 +145,23 @@ class TestScheduling:
 
 
 class TestCrashRecovery:
-    def test_worker_death_mid_slice_reruns_from_checkpoint(self):
+    def test_worker_death_mid_slice_reruns_from_checkpoint(
+            self, monkeypatch):
         """A slice that makes partial progress then dies is rolled
         back to the last checkpoint and re-run bit-identically."""
-        pool = SessionPool(workers=2, slice_epochs=2, max_retries=2)
+        pool = SessionPool(workers=2, slice_epochs=2)
         scenario = pool_scenario(n_epochs=8)
         crashed = threading.Event()
+        advance = Session.advance
 
-        def die_once_mid_slice(session):
+        def die_once_mid_slice(session, max_epochs):
             if session.session_id == "victim" and not crashed.is_set():
                 crashed.set()
-                session.advance(1)  # partial progress...
+                advance(session, 1)  # partial progress...
                 raise RuntimeError("worker died mid-slice")
+            return advance(session, max_epochs)
 
-        pool.fault_hook = die_once_mid_slice
+        monkeypatch.setattr(Session, "advance", die_once_mid_slice)
         pool.submit(scenario, base_seed=3, checkpoint_epochs=2,
                     session_id="victim")
         pool.submit(scenario, base_seed=4, session_id="bystander")
@@ -164,13 +177,13 @@ class TestCrashRecovery:
         assert pool.metrics()["recoveries_total"] == 1
         assert pool.metrics()["epochs_total"] == 2 * 8
 
-    def test_retries_exhausted_marks_failed(self):
-        pool = SessionPool(workers=1, slice_epochs=2, max_retries=1)
+    def test_retries_exhausted_marks_failed(self, monkeypatch):
+        pool = SessionPool(workers=1, slice_epochs=2)
 
-        def always_die(session):
+        def always_die(session, max_epochs):
             raise RuntimeError("unlucky host")
 
-        pool.fault_hook = always_die
+        monkeypatch.setattr(Session, "advance", always_die)
         session = pool.submit(pool_scenario(), session_id="doomed")
         pool.start()
         assert session.wait_for(lambda s: s.done, timeout=30.0)
@@ -256,3 +269,92 @@ class TestSuspendResume:
         assert pool.delete("gone") is False
         with pytest.raises(SessionNotFound):
             pool.get("gone")
+
+
+class TestRequeueRace:
+    """suspend() or delete() landing after a worker's slice and before
+    the worker is back at the queue. The worker used to requeue the
+    claimed id; popping it back for a session no longer live ended the
+    worker thread, so a one-worker pool advanced nothing after it.
+
+    Events force the order: a post-slice move of the victim to
+    "queued" made through ``_set_state`` waits until the verb has
+    raised its flag, and the worker's next pop waits until the verb
+    has returned. Under ``REPRO_SANITIZE=1`` this also exercises the
+    worker's pool lock -> session lock nesting."""
+
+    @pytest.mark.parametrize("verb", ["suspend", "delete"])
+    def test_claim_after_a_slice_keeps_the_worker(
+            self, verb, tmp_path, monkeypatch):
+        sanitizer = get_sanitizer()
+        sanitizer.reset()
+        pool = SessionPool(workers=1, slice_epochs=2,
+                           store=SessionStore(ResultCache(tmp_path)))
+        victim = pool.submit(pool_scenario(n_epochs=8),
+                             session_id="victim")
+        sliced = threading.Event()    # the victim's slice is over
+        claiming = threading.Event()  # the verb raised its flag
+        claimed = threading.Event()   # the verb returned
+        slices = []
+        advance = Session.advance
+        set_state = Session._set_state
+        wait_for = Session.wait_for
+        pop_next = SessionPool._pop_next
+
+        def advancing(session, max_epochs):
+            slices.append(session.session_id)
+            return advance(session, max_epochs)
+
+        def parking(session, state, error=None):
+            if session is victim and state == "queued" and slices:
+                sliced.set()
+                claiming.wait(timeout=10)
+            set_state(session, state, error)
+
+        def waiting(session, predicate, timeout=None):
+            if session is victim:
+                claiming.set()  # suspend() waits right after the flag
+            return wait_for(session, predicate, timeout)
+
+        def popping(self):
+            if slices and not claimed.is_set():
+                sliced.set()
+                claimed.wait(timeout=10)
+            return pop_next(self)
+
+        def claim():
+            getattr(pool, verb)("victim")
+            claiming.set()
+            claimed.set()
+
+        monkeypatch.setattr(Session, "advance", advancing)
+        monkeypatch.setattr(Session, "_set_state", parking)
+        monkeypatch.setattr(Session, "wait_for", waiting)
+        monkeypatch.setattr(SessionPool, "_pop_next", popping)
+        pool.start()
+        try:
+            assert sliced.wait(timeout=30)
+            claimer = threading.Thread(target=claim)
+            claimer.start()
+            assert claimed.wait(timeout=30)
+            claimer.join(timeout=30)
+            assert not claimer.is_alive()
+            later = pool.submit(pool_scenario(n_epochs=4),
+                                session_id="later")
+            assert later.wait_for(lambda s: s.done, timeout=30), (
+                f"later session stuck in {later.state}")
+            assert pool._threads[0].is_alive()
+        finally:
+            pool.shutdown()
+        assert later.state == "completed"
+        assert slices.count("victim") == 1
+        if verb == "suspend":
+            assert pool.get("victim").state == "suspended"
+            assert pool.get("victim").cursor == 2
+        else:
+            with pytest.raises(SessionNotFound):
+                pool.get("victim")
+        sanitizer.assert_clean()
+        if armed():
+            assert ("SessionPool._lock",
+                    "Session.updated") in sanitizer.edges

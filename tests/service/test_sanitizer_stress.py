@@ -15,6 +15,7 @@ from repro.checks.runtime import get_sanitizer
 from repro.experiments import ResultCache
 from repro.scenarios import Episode, Scenario
 from repro.service import SessionPool, SessionStore
+from repro.service.sessions import Session
 
 
 @pytest.fixture
@@ -84,16 +85,18 @@ class TestSanitizedPool:
                 "Session.updated") in armed_sanitizer.edges
 
     def test_fault_injected_recovery_stays_clean(
-            self, armed_sanitizer):
-        pool = SessionPool(workers=2, slice_epochs=2, max_retries=3)
+            self, armed_sanitizer, monkeypatch):
+        pool = SessionPool(workers=2, slice_epochs=2)
         hits = []
+        advance = Session.advance
 
-        def crash_once(session):
+        def crash_once(session, max_epochs):
             if session.session_id.endswith("1") and not hits:
                 hits.append(session.session_id)
                 raise RuntimeError("injected worker crash")
+            return advance(session, max_epochs)
 
-        pool.fault_hook = crash_once
+        monkeypatch.setattr(Session, "advance", crash_once)
         sessions = [pool.submit(stress_scenario(f"crash{i}"),
                                 base_seed=i, checkpoint_epochs=2)
                     for i in range(4)]

@@ -12,11 +12,8 @@ from repro.scenarios import (
     ScenarioRunner,
     make_backend,
 )
-from repro.service.sessions import (
-    SESSION_FORMAT,
-    Session,
-    SessionStore,
-)
+from repro.scenarios.runner import CHECKPOINT_FORMAT
+from repro.service.sessions import Session, SessionStore
 
 
 def service_scenario(n_epochs=12, events=(), name="svc"):
@@ -55,8 +52,8 @@ class TestAdvance:
         session = Session.create("s1", service_scenario(n_epochs=10),
                                  checkpoint_epochs=4)
         session.advance(10)
-        # Attach-time epoch 0, every 4th, and the horizon.
-        assert sorted(session.checkpoints) == [0, 4, 8, 10]
+        # Every 4th epoch and the horizon; a fresh backend is epoch 0.
+        assert sorted(session.checkpoints) == [4, 8, 10]
 
     def test_events_counted_per_epoch(self):
         events = [ScenarioEvent(epoch=1, action="fail_plane", value=0),
@@ -80,7 +77,7 @@ class TestRecover:
         scenario = service_scenario(n_epochs=12)
         session = Session.create("s1", scenario, base_seed=1,
                                  checkpoint_epochs=4)
-        session.advance(7)  # cursor 7, checkpoints {0, 4}
+        session.advance(7)  # cursor 7, checkpoints {4}
         reference = [dict(r) for r in session.reports]
         dropped = session.recover()
         assert dropped == 3
@@ -133,7 +130,7 @@ class TestSerialization:
     def test_format_mismatch_rejected(self):
         session = Session.create("s1", service_scenario())
         record = session.to_dict()
-        record["format"] = SESSION_FORMAT + 1
+        record["format"] = CHECKPOINT_FORMAT + 1
         with pytest.raises(ValueError, match="format"):
             Session.from_record(record)
 
@@ -146,6 +143,19 @@ class TestSerialization:
         assert 3 in session.checkpoints
         assert session._backend is None
 
+    def test_suspend_before_any_epoch_needs_no_snapshot(self):
+        # A fresh backend is the epoch-0 state: a session suspended
+        # before it ran stores no snapshot and still resumes exactly.
+        scenario = service_scenario(n_epochs=6)
+        session = Session.create("s1", scenario, base_seed=2)
+        session.suspend_snapshot()
+        record = json.loads(json.dumps(session.to_dict()))
+        assert record["checkpoints"] == {}
+        clone = Session.from_record(record)
+        clone.state = "queued"
+        clone.advance(6)
+        assert clone.reports == reference_payloads(scenario, seed=2)
+
     def test_suspend_completed_rejected(self):
         session = Session.create("s1", service_scenario(n_epochs=1))
         session.advance(1)
@@ -154,23 +164,26 @@ class TestSerialization:
 
 
 class TestSnapshotAt:
+    """The fork point's snapshot: the only checkpoint a fork child
+    starts with."""
+
     def test_between_checkpoints_rebuilds_exactly(self):
         scenario = service_scenario(n_epochs=12)
         session = Session.create("s1", scenario, base_seed=3,
                                  checkpoint_epochs=4)
         session.advance(12)
-        # Epoch 6 was never checkpointed; rebuild it and compare to a
-        # direct run paused at 6.
-        snap = session.snapshot_at(6)
+        # Epoch 6 was never checkpointed; the child's checkpoint is
+        # rebuilt from epoch 4 and must equal a direct run paused at 6.
+        child = session.fork("c1", 6)
         backend = make_backend("awgr", scenario.n_nodes, seed=3)
         ScenarioRunner(scenario, backend).step_epochs(0, 6, seed=3)
-        assert snap == backend.snapshot()
+        assert child.checkpoints == {6: backend.snapshot()}
 
     def test_beyond_cursor_rejected(self):
         session = Session.create("s1", service_scenario())
         session.advance(2)
         with pytest.raises(ValueError, match="computed range"):
-            session.snapshot_at(5)
+            session.fork("c1", 5)
 
 
 class TestSessionStore:

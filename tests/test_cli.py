@@ -189,6 +189,24 @@ class TestScenario:
         assert excinfo.value.code.startswith("scenario: ")
         assert 'boundary="reset"' in excinfo.value.code
 
+    @pytest.mark.parametrize("flags", [
+        ["--shards", "0"],
+        ["--shards", "2", "--shard-index", "2"],
+        ["--shards", "1", "--chunk-epochs", "0"],
+        ["--shards", "1", "--workers", "0"],
+        ["--shards", "1", "--workers", "2"],
+    ])
+    def test_rejected_sharding_creates_no_cache(self, tmp_path, flags):
+        # The runner judges the arguments before the cache exists, so
+        # a rejected invocation leaves no checkpoint directory behind.
+        cache_dir = tmp_path / "chunks"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "--demo", *flags,
+                  "--cache-dir", str(cache_dir)])
+        assert isinstance(excinfo.value.code, str)  # exit status 1
+        assert excinfo.value.code.startswith("scenario: ")
+        assert not cache_dir.exists()
+
     def test_repeats_reports_ci(self, capsys):
         assert main(["scenario", "--demo", "--epochs", "2",
                      "--repeats", "3"]) == 0
