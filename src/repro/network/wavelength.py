@@ -15,6 +15,7 @@ Occupancy is tracked at flow granularity: each wavelength carries up to
 from __future__ import annotations
 
 import base64
+import heapq
 import zlib
 from dataclasses import dataclass
 
@@ -181,13 +182,12 @@ class WavelengthAllocator:
         ``RuntimeError`` when capacity is insufficient — callers must
         check :meth:`has_capacity` (or catch) to model blocking.
 
-        Least-loaded fill is computed in closed form instead of a
-        per-slot ``min()`` loop: the t-th sub-slot of a sequential fill
-        always takes the t-th smallest token ``(occupancy + j, plane)``
-        over planes ``p`` and increments ``j``, so selecting the
-        ``slots`` smallest tokens (``argpartition``) and ordering them
-        reproduces the sequential assignment exactly, ties broken
-        toward the lowest plane index.
+        Each sub-slot pops the least ``(level, plane)`` entry of a heap
+        over the healthy planes and pushes it back one level higher,
+        so ties break toward the lowest plane index. This is the fill
+        :meth:`allocate_pairs` replays in closed form, done on a plain
+        list: a routed hop takes a handful of slots, where numpy's
+        per-call overhead outweighs the work.
         """
         self._check(src, dst)
         if slots <= 0:
@@ -195,25 +195,19 @@ class WavelengthAllocator:
         if not self.has_capacity(src, dst, slots):
             raise RuntimeError(
                 f"no capacity for {slots} slots on pair ({src}, {dst})")
-        occ = self._occupancy[src, dst]
-        if slots == 1:
-            plane = int(np.argmin(
-                np.where(self._healthy, occ, _UNAVAILABLE)))
-            occ[plane] += 1
-            self._used[src, dst] += 1
-            return [plane]
-        p = self.planes
-        vals = occ.astype(np.int64)[:, None] + np.arange(
-            slots, dtype=np.int64)[None, :]
-        vals[~self._healthy] = _UNAVAILABLE
-        keys = (vals * p
-                + np.arange(p, dtype=np.int64)[:, None]).reshape(-1)
-        take = np.argpartition(keys, slots - 1)[:slots]
-        take = take[np.argsort(keys[take])]
-        used = take // slots  # keys laid out plane-major
-        occ += np.bincount(used, minlength=p)
+        row = self._occupancy[src, dst].tolist()
+        heap = [(level, plane) for plane, level in enumerate(row)
+                if plane not in self._failed_planes]
+        heapq.heapify(heap)
+        used = []
+        for _ in range(slots):
+            level, plane = heap[0]
+            heapq.heapreplace(heap, (level + 1, plane))
+            row[plane] = level + 1
+            used.append(plane)
+        self._occupancy[src, dst] = row
         self._used[src, dst] += slots
-        return used.tolist()
+        return used
 
     def allocate_pairs(self, src: np.ndarray, dst: np.ndarray,
                        totals: np.ndarray) -> np.ndarray:
@@ -221,10 +215,17 @@ class WavelengthAllocator:
 
         Replays, in one vectorized shot, exactly what sequential
         :meth:`allocate` calls totalling ``totals[u]`` sub-slots on
-        each pair would do (same token argument as :meth:`allocate`).
-        Returns an ``(len(src), totals.max())`` int array whose row
-        ``u`` lists the planes in assignment order, padded with -1.
-        Occupancy is updated in place.
+        each pair would do. Returns an ``(len(src), totals.max())``
+        int array whose row ``u`` lists the planes in assignment
+        order, padded with -1. Occupancy is updated in place.
+
+        The fill is computed in closed form: the t-th sub-slot of a
+        sequential least-loaded fill always takes the t-th smallest
+        token ``(occupancy + j, plane)`` over healthy planes ``p`` and
+        increments ``j``, so selecting each pair's ``totals[u]``
+        smallest tokens (``argpartition``) and ordering them
+        reproduces the sequential assignment exactly, ties broken
+        toward the lowest plane index.
 
         Callers must guarantee pair distinctness, positive totals, and
         per-pair capacity — this is the trusted inner loop of

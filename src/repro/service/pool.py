@@ -128,12 +128,15 @@ class SessionPool:
     # -- submission ------------------------------------------------------------
 
     def _claim_id(self) -> str:
-        """Next free ``s<counter>`` id (store collisions skipped)."""
-        stored = set(self.store.list_ids()) if self.store else set()
+        """Next free ``s<counter>`` id. An id a live session or a
+        stored record holds is skipped; the store is asked about each
+        candidate alone, so no stored record is read."""
         while True:
             candidate = f"s{self._next_id:04d}"
             self._next_id += 1
-            if candidate not in self.sessions and candidate not in stored:
+            if candidate in self.sessions:
+                continue
+            if self.store is None or candidate not in self.store:
                 return candidate
 
     def submit(self, scenario, backend: str = "awgr",

@@ -24,10 +24,10 @@ That identity buys the three service verbs for free:
   carries in-flight fabric state and RNG);
 * **fork** — branch a what-if child at any past epoch ``N``: the
   child starts from the parent's state at ``N`` (replayed forward from
-  the parent's nearest checkpoint), copies the parent's first ``N``
+  the parent's nearest checkpoint), carries the parent's first ``N``
   epoch reports, and diverges under its own scripted events —
-  bit-identical to the parent up to ``N``, sharing no mutable state
-  after it.
+  bit-identical to the parent up to ``N``. The child shares only the
+  prefix payloads, which nothing writes into once appended.
 
 Sessions advance one epoch at a time through
 :meth:`~repro.scenarios.runner.ScenarioRunner.step_epochs`, and
@@ -65,10 +65,10 @@ TERMINAL_STATES = ("completed", "failed")
 def json_roundtrip(payload: dict) -> dict:
     """Deep-copy through the JSON codec.
 
-    Used at every trust boundary (fork, suspend record assembly) so
-    the copy provably shares no mutable state with the original *and*
-    anything JSON-unstable fails loudly here instead of corrupting a
-    resumed run later.
+    A fork's checkpoint goes through it, so the child holds the
+    JSON-decoded form a stored record would, and anything
+    JSON-unstable in a snapshot fails loudly here instead of
+    corrupting a resumed run later.
     """
     return json.loads(json.dumps(payload))
 
@@ -368,8 +368,12 @@ class Session:
         is bit-identical to the parent up to the fork point. New
         ``events`` (all scripted at or after ``at_epoch``) and an
         optional ``n_epochs`` override shape the divergent future.
-        Every carried payload is deep-copied through the JSON codec:
-        the child shares no mutable state with the parent.
+
+        The child's report list is its own but holds the parent's
+        prefix payload objects, which nothing writes into once they
+        are appended (the store, the gateway and :meth:`report` only
+        read or copy them). The event counts are copied, and the
+        child's one checkpoint is a fresh snapshot at the fork point.
         """
         if not 0 <= at_epoch <= self.cursor:
             raise ValueError(
@@ -387,9 +391,8 @@ class Session:
                 f"{at_epoch}")
         with self.updated:
             checkpoints = dict(self.checkpoints)
-            carried = json_roundtrip({
-                "reports": self.reports[:at_epoch],
-                "event_counts": self.event_counts[:at_epoch]})
+            reports = self.reports[:at_epoch]
+            event_counts = [list(c) for c in self.event_counts[:at_epoch]]
         # The fork point's state comes from the parent's scenario: an
         # n_epochs override rescales envelopes that scale with the
         # horizon, so the child's scenario would not replay the prefix.
@@ -410,8 +413,8 @@ class Session:
             base_seed=self.base_seed,
             checkpoint_epochs=self.checkpoint_epochs,
             cursor=at_epoch,
-            reports=carried["reports"],
-            event_counts=carried["event_counts"],
+            reports=reports,
+            event_counts=event_counts,
             checkpoints={at_epoch: json_roundtrip(backend.snapshot())},
             parent=self.session_id,
             forked_at=at_epoch)
@@ -485,6 +488,11 @@ class SessionStore:
     def load(self, session_id: str) -> dict | None:
         """The stored record, or None if the id is unknown."""
         return self.cache.load(SessionKey(session_id))
+
+    def __contains__(self, session_id: str) -> bool:
+        """Whether a record is stored under the id: one ``stat`` of
+        its path, without reading the record."""
+        return self.cache.path_for(SessionKey(session_id)).exists()
 
     def delete(self, session_id: str) -> bool:
         """Drop a stored record; True if one existed."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.network.wavelength import WavelengthAllocator
 
@@ -146,6 +148,37 @@ class TestVectorizedAllocation:
         alloc._occupancy[2, 2, 0] = 5  # corrupt diagonal on purpose
         alloc.allocate(0, 1, slots=4)
         assert alloc.utilization() == pytest.approx(4 / (8 * 7 * 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_allocate_fill_matches_allocate_pairs_closed_form(data):
+    """``allocate``'s heap fill picks the planes ``allocate_pairs``'
+    token sort picks, from any occupancy row and failed-plane set, and
+    leaves the same occupancy and counts behind."""
+    planes = data.draw(st.integers(1, 8), label="planes")
+    per = data.draw(st.integers(1, 8), label="flows_per_wavelength")
+    failed = data.draw(st.sets(st.integers(0, planes - 1),
+                               max_size=planes - 1), label="failed")
+    row = [0 if plane in failed else data.draw(st.integers(0, per))
+           for plane in range(planes)]
+    free = (planes - len(failed)) * per - sum(row)
+    assume(free > 0)
+    slots = data.draw(st.integers(1, free), label="slots")
+    alloc, twin = (WavelengthAllocator(n_nodes=3, planes=planes,
+                                       flows_per_wavelength=per)
+                   for _ in range(2))
+    for allocator in (alloc, twin):
+        for plane in failed:
+            allocator.fail_plane(plane)
+        allocator._occupancy[1, 2] = row
+        allocator._used[1, 2] = sum(row)
+    got = alloc.allocate(1, 2, slots)
+    want = twin.allocate_pairs(np.array([1]), np.array([2]),
+                               np.array([slots]))[0, :slots].tolist()
+    assert got == want
+    assert np.array_equal(alloc._occupancy, twin._occupancy)
+    assert np.array_equal(alloc._used, twin._used)
 
 
 class TestValidation:

@@ -2,8 +2,8 @@
 
 ``WavelengthAllocator._used`` is kept beside ``_occupancy`` so that
 capacity queries gather one count instead of summing over planes.
-After any generated sequence of the allocator's writes — both
-branches of ``allocate`` and of ``allocate_pairs``, ``release``,
+After any generated sequence of the allocator's writes —
+``allocate``'s fill, both branches of ``allocate_pairs``, ``release``,
 ``release_tokens``, ``reset``, ``restore``, ``fail_plane`` and
 ``repair_plane`` — the two must agree.
 """

@@ -1,7 +1,9 @@
-"""Fork semantics: bit-identical prefixes, divergent futures, no
-shared mutable state between parent and child."""
+"""Fork semantics: bit-identical prefixes, divergent futures, and a
+child that shares only the parent's prefix payloads, which nothing
+writes into."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from repro.scenarios import (
 )
 from repro.service import (ServiceClient, ServiceError, ServiceGateway,
                            SessionPool)
-from repro.service.sessions import Session
+from repro.service.sessions import Session, json_roundtrip
 
 
 def fork_scenario(n_epochs=16, events=(), name="forksvc"):
@@ -109,6 +111,66 @@ class TestForkDeterminism:
             parent.fork("bad", 6, n_epochs=4)
         with pytest.raises(ValueError, match="computed range"):
             parent.fork("bad", 99)
+
+
+class TestForkSharesPrefix:
+    def test_prefix_payloads_are_the_parents_objects(self):
+        parent = completed_session(fork_scenario(n_epochs=16))
+        child = parent.fork("child", 6)
+        assert child.reports is not parent.reports
+        assert len(child.reports) == 6
+        assert all(mine is theirs for mine, theirs
+                   in zip(child.reports, parent.reports))
+        assert child.event_counts == parent.event_counts[:6]
+        assert not any(mine is theirs for mine, theirs
+                       in zip(child.event_counts, parent.event_counts))
+
+    def test_parent_record_survives_child_advance_recover_suspend(self):
+        scenario = fork_scenario(n_epochs=16)
+        parent = Session.create("parent", scenario, base_seed=4,
+                                checkpoint_epochs=4)
+        parent.advance(10)
+        before = canon(parent.to_dict())
+        child = parent.fork(
+            "child", 6,
+            events=(ScenarioEvent(epoch=7, action="fail_plane",
+                                  value=0),))
+        child.advance(1)
+        assert child.recover() == 1  # back to the fork point
+        assert child.cursor == 6
+        child.advance(4)
+        child.suspend_snapshot()
+        resumed = Session.from_record(json_roundtrip(child.to_dict()))
+        resumed.advance(scenario.n_epochs)
+        assert canon(parent.to_dict()) == before
+        assert canon(resumed.reports[:6]) == canon(parent.reports[:6])
+        control = parent.fork(
+            "control", 6,
+            events=(ScenarioEvent(epoch=7, action="fail_plane",
+                                  value=0),))
+        control.advance(scenario.n_epochs)
+        assert canon(resumed.reports) == canon(control.reports)
+
+    def test_fork_retains_far_less_than_a_copied_prefix(self):
+        """A fork near the end of a 200-epoch session holds references
+        to the prefix, not a copy of it: it retains under a third of
+        what one JSON copy of the prefix does."""
+        parent = completed_session(fork_scenario(n_epochs=200),
+                                   checkpoint_epochs=16)
+        parent.fork("warm-up", 197)  # first-call caches stay out
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            copied = json_roundtrip({"reports": parent.reports[:197]})
+            copy_bytes = tracemalloc.get_traced_memory()[0] - start
+            del copied
+            start = tracemalloc.get_traced_memory()[0]
+            child = parent.fork("child", 197)
+            fork_bytes = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert child.cursor == 197
+        assert fork_bytes < copy_bytes / 3, (fork_bytes, copy_bytes)
 
 
 class TestForkOverHTTP:

@@ -271,6 +271,31 @@ class TestSuspendResume:
             pool.get("gone")
 
 
+class TestClaimId:
+    def test_claiming_reads_no_stored_record(self, tmp_path, monkeypatch):
+        """submit and fork ask the store about each candidate id alone
+        (one stat), never list it: an id with a stored record is
+        still skipped."""
+        store = SessionStore(ResultCache(tmp_path))
+        for session_id in ("s0001", "s0003", "other"):
+            store.save(Session.create(session_id, pool_scenario()))
+        listed = []
+        list_ids = SessionStore.list_ids
+
+        def spy(self):
+            listed.append(True)
+            return list_ids(self)
+
+        monkeypatch.setattr(SessionStore, "list_ids", spy)
+        pool = SessionPool(workers=1, store=store)
+        first = pool.submit(pool_scenario())
+        child = pool.fork(first.session_id, 0)
+        second = pool.submit(pool_scenario())
+        assert (first.session_id, child.session_id,
+                second.session_id) == ("s0002", "s0004", "s0005")
+        assert listed == []
+
+
 class TestRequeueRace:
     """suspend() or delete() landing after a worker's slice and before
     the worker is back at the queue. The worker used to requeue the
