@@ -65,10 +65,14 @@ class SwitchConfiguration:
         if (col > self.wavelengths_per_port).any():
             raise ValueError("output port over-committed")
 
-    def pair_gbps(self, src: int, dst: int,
-                  gbps_per_wavelength: float = 25.0) -> float:
-        """Configured bandwidth from input ``src`` to output ``dst``."""
-        return float(self.assignment[src, dst]) * gbps_per_wavelength
+    def pair_gbps(self, src: int | np.ndarray, dst: int | np.ndarray,
+                  gbps_per_wavelength: float = 25.0) -> float | np.ndarray:
+        """Configured bandwidth from input ``src`` to output ``dst``.
+
+        ``src`` and ``dst`` may be index arrays: the result is then the
+        bandwidth of each (src, dst) pair, elementwise.
+        """
+        return self.assignment[src, dst] * gbps_per_wavelength
 
     def ports_changed(self, other: "SwitchConfiguration") -> int:
         """Input ports whose steering differs from ``other``.
@@ -108,10 +112,16 @@ def schedule_demand(demand: np.ndarray, wavelengths_per_port: int,
 
     Notes
     -----
-    Sources are planned one after another (they share output-port
-    capacity), each only over its positive-demand columns: a
-    zero-demand column has floor 0 and is never eligible for a
-    leftover, so a plan over the full row never touches it. A
+    Sources are planned in order (they share output-port capacity),
+    each only over its positive-demand columns: a zero-demand column
+    has floor 0 and is never eligible for a leftover, so a plan over
+    the full row never touches it. A source waits only for the
+    earlier sources that share one of its columns, so the planner
+    takes them a dependency level at a time: a source's level is 1
+    plus the highest level of an earlier source sharing a column.
+    Sources of one level share no column, and every earlier source
+    that touches one of their columns sits at a lower level, so each
+    reads exactly the output capacity source order leaves it. A
     source's leftovers go to the first ``leftover`` *eligible*
     columns, those with output capacity to spare after the floors,
     in ascending remainder-key order. That is exactly what a walk
@@ -128,7 +138,7 @@ def schedule_demand(demand: np.ndarray, wavelengths_per_port: int,
     integer keys tie heavily. Parallel switches differ only in
     stagger and in the output capacity they have left, so
     :meth:`ReconfigurableFabric.reconfigure` plans the whole bank in
-    the same pass over rows; this function is its one-switch case.
+    the same pass over levels; this function is its one-switch case.
     """
     return _schedule(np.array(demand, dtype=float), wavelengths_per_port,
                      [stagger])[0]
@@ -143,17 +153,19 @@ def _schedule(demand: np.ndarray, wavelengths_per_port: int,
     ``s``-th equal to ``schedule_demand(demand, wavelengths_per_port,
     staggers[s])``.
 
-    Pass 1 plans each source with demand over its k positive-demand
-    columns only, as (k, S) slices; zero-demand columns stay
-    untouched (see :func:`schedule_demand`'s Notes). Share, floor
-    and the remainder key depend on the source row and the stagger
-    but not on output capacity, so :func:`_grant_order` computes
-    them once per call for every positive entry and sorts each row's
-    keys, falling back to a full-row ``np.argsort`` for a row whose
-    keys tie. The row loop keeps only the work that depends on
-    capacity: clamp the floors to it, then grant the leftovers to the
-    first eligible columns in key order. Pass 2 plans idle sources
-    over full (S, N) rows.
+    Pass 1 plans each source with demand over its positive-demand
+    columns only; zero-demand columns stay untouched (see
+    :func:`schedule_demand`'s Notes). Share, floor and the remainder
+    key depend on the source row and the stagger but not on output
+    capacity, so :func:`_grant_order` computes them once per call for
+    every positive entry and sorts each row's keys, falling back to a
+    full-row ``np.argsort`` for a row whose keys tie. The level loop
+    keeps only the work that depends on capacity, for all the rows of
+    one :func:`_levels` dependency level and every switch at once:
+    gather the spare capacity, clamp the floors to it, take each (row,
+    switch) leftover with ``np.add.reduceat``, grant it to the row's
+    first eligible columns in key order and scatter the plan. Pass 2
+    plans idle sources one by one over full (S, N) rows.
     """
     if demand.ndim != 2 or demand.shape[0] != demand.shape[1]:
         raise ValueError("demand must be square")
@@ -181,21 +193,49 @@ def _schedule(demand: np.ndarray, wavelengths_per_port: int,
     # Pass 1: sources with demand claim output capacity first, so
     # idle sources' reachability fallback cannot starve real traffic.
     bounds, rows, cols, floors, _ = _grant_order(demand, totals, w, bias)
+    # Rows are taken a dependency level at a time. A stable sort by
+    # level keeps source order inside a level and each row's key order
+    # on every switch.
+    level = _levels(bounds, cols[:, 0], n)
+    counts = np.diff(bounds)
+    order = np.argsort(np.repeat(level, counts), kind="stable")
+    counts = counts[np.argsort(level, kind="stable")]
+    # Level l + 1 is the sizes[l] sorted rows row_bounds[l]:row_bounds[l
+    # + 1], and sorted row r starts at entry starts[r].
+    sizes = np.bincount(level)[1:]
+    row_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    # Each row's first entry and each entry's row, counted from the
+    # start of its level.
+    heads = starts[:-1] - np.repeat(starts[row_bounds[:-1]], sizes)
+    member = np.repeat(
+        np.arange(len(counts)) - np.repeat(row_bounds[:-1], sizes), counts)
+    cols = cols.take(order, axis=0)
+    floors = floors.take(order, axis=0)
     # Flat slots of each (entry, switch) in out_capacity and in the
     # assignments.
     capacity_slots = cols + switch * n
-    plan_slots = cols + (switch * n + rows[:, None]) * n
+    plan_slots = cols + (switch * n + rows.take(order)[:, None]) * n
     planned = assignments.reshape(-1)
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    entry_bounds = starts[row_bounds].tolist()
+    row_bounds = row_bounds.tolist()
+    for start, stop, first, last in zip(entry_bounds[:-1], entry_bounds[1:],
+                                        row_bounds[:-1], row_bounds[1:]):
         slots = capacity_slots[start:stop]
         spare = capacity[slots]
         floor = floors[start:stop]
         plan = np.minimum(floor, spare)
         # A column with capacity left after its floor is eligible for
         # one leftover wavelength; the first ``leftover`` eligible
-        # columns in key order win one each.
+        # columns of each row in key order win one each. ``rank``
+        # counts eligible columns across the whole level, so a row's
+        # limit is raised by the count before its first entry.
+        head = heads[first:last]
         grant = spare > floor
-        grant &= np.add.accumulate(grant) <= w - np.add.reduce(plan)
+        rank = np.add.accumulate(grant)
+        limit = (w - np.add.reduceat(plan, head) + rank.take(head, axis=0)
+                 - grant.take(head, axis=0))
+        grant &= rank <= limit.take(member[start:stop], axis=0)
         plan += grant
         capacity[slots] = spare - plan
         planned[plan_slots[start:stop]] = plan
@@ -263,6 +303,28 @@ def _grant_order(demand: np.ndarray, totals: np.ndarray, w: int,
         cols[start:stop] = full[row[full] > 0].reshape(len(bias), -1).T
         floors[start:stop] = floor[cols[start:stop]]
     return bounds, rows, cols, floors, rows[bounds[tied]]
+
+
+def _levels(bounds: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Dependency level of each row of a grouped column list.
+
+    Row ``r`` holds the distinct columns ``cols[bounds[r]:bounds[r +
+    1]]`` of ``range(n)``. Its level is 1 plus the highest level among
+    earlier rows that share one of its columns, or 1 if none does. So
+    rows of one level share no column, and every earlier row that
+    touches one of a row's columns sits at a lower level.
+    """
+    # The highest level so far among rows that touched each column.
+    reached = [0] * n
+    levels = []
+    cols = cols.tolist()
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        row = cols[start:stop]
+        level = 1 + max(map(reached.__getitem__, row))
+        for col in row:
+            reached[col] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.int64)
 
 
 @dataclass
@@ -366,8 +428,14 @@ class ReconfigurableFabric:
         self.ports_disturbed = int(state["ports_disturbed"])
         self.time_reconfiguring_s = float(state["time_reconfiguring_s"])
 
-    def pair_gbps(self, src: int, dst: int) -> float:
-        """Configured bandwidth between two ports across all switches."""
+    def pair_gbps(self, src: int | np.ndarray,
+                  dst: int | np.ndarray) -> float | np.ndarray:
+        """Configured bandwidth between two ports across all switches.
+
+        ``src`` and ``dst`` may be index arrays. Each pair is summed
+        switch by switch, left to right as in :meth:`configured_gbps`,
+        so it equals that matrix's ``[src, dst]`` bit for bit.
+        """
         return sum(cfg.pair_gbps(src, dst, self.gbps_per_wavelength)
                    for cfg in self.configs)
 

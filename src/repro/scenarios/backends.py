@@ -325,44 +325,46 @@ class WSSBackend:
         self._epoch = 0
         self._since_reconfig = 0
 
-    def _serve(self, demand: np.ndarray
-               ) -> tuple[np.ndarray, bool, float]:
-        """Reconfigure if due and compute the (N, N) served matrix.
+    def _serve(self, demand: np.ndarray) -> tuple[bool, float]:
+        """Reconfigure if a plan is due; return ``(reconfigured,
+        downtime_fraction)``.
 
         The per-flow oracle in ``tests/oracles/backends.py`` calls this
         too, so the scheduler/downtime behavior cannot drift between
         the twins.
         """
-        downtime_fraction = 0.0
-        reconfigured = False
-        if self._since_reconfig % self.reconfig_period == 0:
-            self.fabric.reconfigure(demand)
-            reconfigured = True
-            downtime = (self.fabric.reconfig_time_s
-                        + self.fabric.scheduler_latency_s)
-            downtime_fraction = min(1.0, downtime / self.slot_time_s)
-        served = (np.minimum(demand, self.fabric.configured_gbps())
-                  * (1.0 - downtime_fraction))
-        return served, reconfigured, downtime_fraction
+        if self._since_reconfig % self.reconfig_period:
+            return False, 0.0
+        self.fabric.reconfigure(demand)
+        downtime = (self.fabric.reconfig_time_s
+                    + self.fabric.scheduler_latency_s)
+        return True, min(1.0, downtime / self.slot_time_s)
 
     def step(self, batch: FlowBatch) -> EpochReport:
         """Serve one epoch with one gather per flow array.
 
-        Bit-identical to the per-flow oracle: the demand matrix
-        accumulates in flow order (unbuffered ``np.add.at``), each
-        flow's service fraction is the same elementwise IEEE division,
-        and the Gbps aggregates fold strictly left to right.
+        Each flow reads the configured bandwidth of its own (src, dst)
+        pair through :meth:`ReconfigurableFabric.pair_gbps`; no (N, N)
+        configured or served matrix is built. Bit-identical to the
+        per-flow oracle, which serves from the full
+        ``configured_gbps()`` matrix: the per-pair sum runs switch by
+        switch in the same order, the demand matrix accumulates in
+        flow order (unbuffered ``np.add.at``), each flow's service
+        fraction is the same elementwise IEEE division, and the Gbps
+        aggregates fold strictly left to right.
         """
         report = EpochReport(epoch=self._epoch)
         demand = WSSNetworkSimulator.demand_matrix(batch, self.n_nodes)
-        served, reconfigured, downtime_fraction = self._serve(demand)
+        reconfigured, downtime_fraction = self._serve(demand)
         n = len(batch)
         report.offered = n
         report.offered_gbps = sequential_sum(0.0, batch.gbps)
         pair_demand = demand[batch.src, batch.dst]
+        served = (np.minimum(pair_demand,
+                             self.fabric.pair_gbps(batch.src, batch.dst))
+                  * (1.0 - downtime_fraction))
         fraction = np.zeros(n)
-        np.divide(served[batch.src, batch.dst], pair_demand,
-                  out=fraction, where=pair_demand > 0)
+        np.divide(served, pair_demand, out=fraction, where=pair_demand > 0)
         carried = fraction > 0.0
         report.carried = int(np.count_nonzero(carried))
         report.blocked = n - report.carried

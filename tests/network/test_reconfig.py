@@ -115,6 +115,22 @@ class TestFabric:
         assert fabric.pair_gbps(0, 1) > fabric.pair_gbps(0, 2)
         assert fabric.served_fraction(demand) > 0.5
 
+    @pytest.mark.parametrize("rate", [25.0, 0.1, 1 / 3])
+    def test_pair_gbps_gathers_the_configured_matrix(self, rate):
+        # Index arrays gather each pair's bandwidth, summed switch by
+        # switch in configured_gbps()'s order, so the two agree bit
+        # for bit at rates whose products round.
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            fabric = ReconfigurableFabric(n_switches=4, radix=24,
+                                          wavelengths_per_port=6,
+                                          gbps_per_wavelength=rate)
+            demand = rng.random((24, 24)) * (rng.random((24, 24)) < 0.3)
+            fabric.reconfigure(demand)
+            src, dst = rng.integers(0, 24, (2, 300))
+            assert (fabric.pair_gbps(src, dst).tobytes()
+                    == fabric.configured_gbps()[src, dst].tobytes())
+
     def test_served_fraction_bounds(self):
         fabric = ReconfigurableFabric(n_switches=1, radix=4,
                                       wavelengths_per_port=4)

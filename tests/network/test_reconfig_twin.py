@@ -1,9 +1,10 @@
 """The sparse-row WSS bank scheduler equals its per-destination oracle.
 
-``ReconfigurableFabric.reconfigure`` plans every switch at once, each
-source over its positive-demand columns only; ``tests.oracles.reconfig``
-keeps the loop that walked each switch and each destination one at a
-time. Every assignment and every counter must match exactly.
+``ReconfigurableFabric.reconfigure`` plans every switch at once, a
+dependency level of sources per step, each source over its
+positive-demand columns only; ``tests.oracles.reconfig`` keeps the loop
+that walked each switch and each destination one at a time. Every
+assignment and every counter must match exactly.
 """
 
 import importlib.util
@@ -74,6 +75,80 @@ def sparse_demands(draw) -> np.ndarray:
         demand[rng.random(n) < 0.5, draw(st.integers(0, n - 1))] = 1e3
     demand[rng.random(n) < draw(st.floats(0.0, 0.3))] = 0.0
     return demand
+
+
+def row_columns(demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bounds, cols)`` of the active rows' positive columns, the
+    grouping :func:`reconfig._levels` reads."""
+    demand = demand.copy()
+    np.fill_diagonal(demand, 0.0)
+    lists = [np.flatnonzero(row) for row in demand if row.any()]
+    bounds = np.cumsum([0] + [len(cols) for cols in lists])
+    return bounds, np.concatenate([np.zeros(0, np.int64)] + lists)
+
+
+def brute_force_levels(bounds: np.ndarray, cols: np.ndarray) -> list[int]:
+    """1 + the highest level among earlier rows sharing a column, or 1."""
+    sets = [set(cols[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    levels = []
+    for row, mine in enumerate(sets):
+        levels.append(1 + max((levels[earlier] for earlier in range(row)
+                               if sets[earlier] & mine), default=0))
+    return levels
+
+
+@given(demand=demands())
+@settings(max_examples=200, deadline=None)
+def test_levels_match_their_definition(demand):
+    bounds, cols = row_columns(demand)
+    levels = reconfig._levels(bounds, cols, len(demand))
+    assert levels.tolist() == brute_force_levels(bounds, cols)
+
+
+def hot_column_chain(n: int) -> np.ndarray:
+    """Every source but the last wants the last port (the I/O node in
+    a checkpoint burst) and one other peer, so each active row waits
+    for the one before it."""
+    rng = np.random.default_rng(n)
+    demand = np.zeros((n, n))
+    demand[:-1, -1] = 1e3
+    for src in range(n - 1):
+        peer = rng.choice(np.delete(np.arange(n - 1), src))
+        demand[src, peer] = rng.random() * 1e3
+    return demand
+
+
+def permutation_demand(n: int) -> np.ndarray:
+    """Each source wants one peer and no two want the same one."""
+    rng = np.random.default_rng(n)
+    demand = np.zeros((n, n))
+    demand[np.arange(n), (np.arange(n) + 1 + rng.integers(n - 1)) % n] = (
+        rng.random(n) * 1e3 + 1.0)
+    return demand
+
+
+@pytest.mark.parametrize("w", [1, 3, 16])
+@pytest.mark.parametrize("build, levels", [
+    pytest.param(hot_column_chain, lambda n: list(range(1, n)),
+                 id="chain"),
+    pytest.param(permutation_demand, lambda n: [1] * n,
+                 id="permutation"),
+])
+def test_level_extremes_match_oracle(build, levels, w):
+    # A level per row and one level for every row: the planner's two
+    # extremes plan the bank exactly as source order does.
+    n = 48
+    demand = build(n)
+    bounds, cols = row_columns(demand)
+    assert reconfig._levels(bounds, cols, n).tolist() == levels(n)
+    fabric = ReconfigurableFabric(n_switches=3, radix=n,
+                                  wavelengths_per_port=w)
+    twin = ReconfigurableFabric(n_switches=3, radix=n,
+                                wavelengths_per_port=w)
+    for step in (demand, demand[::-1]):
+        fabric.reconfigure(step)
+        oracle.reconfigure(twin, step)
+        assert_same_bank(fabric, twin)
 
 
 @pytest.fixture

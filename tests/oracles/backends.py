@@ -76,13 +76,16 @@ class ScalarAWGRBackend(AWGRBackend):
 
 
 class ScalarWSSBackend(WSSBackend):
-    """Case (B), per-flow service from the shared served matrix."""
+    """Case (B), per-flow service from the full (N, N) served matrix,
+    built from ``configured_gbps()`` as the figure sweeps read it."""
 
     def step(self, batch) -> EpochReport:
         flows = to_flows(batch)
         report = EpochReport(epoch=self._epoch)
         demand = demand_matrix(flows, self.n_nodes)
-        served, reconfigured, downtime_fraction = self._serve(demand)
+        reconfigured, downtime_fraction = self._serve(demand)
+        served = (np.minimum(demand, self.fabric.configured_gbps())
+                  * (1.0 - downtime_fraction))
         for flow in flows:
             report.offered += 1
             report.offered_gbps += flow.gbps

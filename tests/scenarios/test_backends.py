@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.reconfig import ReconfigurableFabric
 from repro.network.traffic import FlowBatch, uniform_batch
 from repro.scenarios import (
     AWGRBackend,
@@ -165,6 +166,28 @@ class TestWSSBackend:
         assert repaired.snapshot() == untouched.snapshot()
         assert (repaired.step(batch).carried_gbps
                 == untouched.step(batch).carried_gbps)
+
+
+    def test_step_never_builds_the_configured_matrix(self, monkeypatch):
+        # Flows read their service from their own pairs through
+        # pair_gbps; the (N, N) configured matrix is left to the
+        # figure sweeps and the per-flow oracle.
+        def refuse(fabric):
+            raise AssertionError("step built the configured matrix")
+
+        monkeypatch.setattr(ReconfigurableFabric, "configured_gbps", refuse)
+        backend = WSSBackend(n_nodes=8, n_switches=3, reconfig_period=2)
+        events = {1: "fail_plane", 3: "repair_plane"}
+        banks = []
+        for epoch in range(5):
+            if epoch in events:
+                assert backend.apply_event(ScenarioEvent(
+                    epoch=epoch, action=events[epoch], value=0))
+            report = backend.step(uniform_batch(8, 20, gbps=50.0,
+                                                rng=epoch))
+            assert 0 < report.carried_gbps <= report.offered_gbps
+            banks.append(report.extras["healthy_switches"])
+        assert banks == [3, 2, 2, 3, 3]
 
 
 class TestElectronicBackend:
