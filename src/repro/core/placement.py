@@ -22,9 +22,6 @@ from repro.network.traffic import FlowBatch
 from repro.rack.chips import ChipType
 from repro.rack.mcm import MCMPacking, pack_rack
 
-#: Kinds of the flows :meth:`PlacementEngine.flows_for` derives.
-FLOW_KINDS = ("cpu-mem", "cpu-nic", "gpu-hbm")
-
 
 @dataclass
 class MCMDirectory:
@@ -192,7 +189,7 @@ class PlacementEngine:
         MCMs exchange with NIC MCMs. Intra-MCM traffic (same module)
         generates no fabric flow.
         """
-        flows: list[tuple[int, int, float, str]] = []
+        flows: list[tuple[int, int, float]] = []
         cpu_mcms = list(placement.cpus)
         ddr_mcms = list(placement.ddr4)
         nic_mcms = list(placement.nics)
@@ -204,14 +201,12 @@ class PlacementEngine:
             for cpu in cpu_mcms:
                 for ddr in ddr_mcms:
                     if cpu != ddr and per_pair > 0:
-                        flows.append((cpu, ddr, max(per_pair, 0.01),
-                                      "cpu-mem"))
+                        flows.append((cpu, ddr, max(per_pair, 0.01)))
         if cpu_mcms and nic_mcms:
             for cpu in cpu_mcms:
                 for nic in nic_mcms:
                     if cpu != nic:
-                        flows.append((cpu, nic, nic_gbps_per_link,
-                                      "cpu-nic"))
+                        flows.append((cpu, nic, nic_gbps_per_link))
         if gpu_mcms and hbm_mcms:
             # Each GPU MCM streams to the job's HBM MCMs proportionally
             # to the *stacks hosted there*: an HBM MCM's inflow is then
@@ -223,11 +218,9 @@ class PlacementEngine:
                 for hbm, stacks in placement.hbm.items():
                     share = gpu_gbps * stacks / total_stacks
                     if gpu_mcm != hbm and share > 0:
-                        flows.append((gpu_mcm, hbm, share, "gpu-hbm"))
-        src, dst, gbps, kinds = zip(*flows) if flows else ((),) * 4
-        return FlowBatch(src=src, dst=dst, gbps=gbps,
-                         kinds=list(FLOW_KINDS),
-                         kind_codes=[FLOW_KINDS.index(k) for k in kinds])
+                        flows.append((gpu_mcm, hbm, share))
+        src, dst, gbps = zip(*flows) if flows else ((),) * 3
+        return FlowBatch(src=src, dst=dst, gbps=gbps)
 
     def validate_bandwidth(self, jobs: list[JobRequest],
                            planes: int = 6,
@@ -277,7 +270,6 @@ class PlacementEngine:
                 remaining -= piece
         take = np.asarray(owner, dtype=np.int64)
         striped = FlowBatch(src=flows.src[take], dst=flows.dst[take],
-                            gbps=pieces, kinds=flows.kinds,
-                            kind_codes=flows.kind_codes[take])
+                            gbps=pieces)
         report = sim.run([striped], duration_slots=1)
         return report, flows

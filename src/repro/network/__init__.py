@@ -7,11 +7,8 @@ model used as the comparison point for Fig. 12.
 """
 
 from repro.network.wavelength import WavelengthAllocator
-from repro.network.state import OccupancyBoard, PiggybackState
-from repro.network.routing import (
-    IndirectRouter,
-    RouteKind,
-)
+from repro.network.state import PiggybackState
+from repro.network.routing import IndirectRouter
 from repro.network.traffic import (
     FlowBatch,
     uniform_batch,
@@ -45,8 +42,7 @@ from repro.network.wss_simulator import (
 )
 
 __all__ = [
-    "WavelengthAllocator", "OccupancyBoard", "PiggybackState",
-    "IndirectRouter", "RouteKind",
+    "WavelengthAllocator", "PiggybackState", "IndirectRouter",
     "FlowBatch", "uniform_batch", "hotspot_batch", "cpu_memory_batch",
     "gpu_allreduce_batch",
     "AWGRNetworkSimulator", "BatchDecisions", "SimulationReport",

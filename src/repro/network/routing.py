@@ -17,7 +17,6 @@ also fails is blocked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,21 +24,11 @@ from repro.network.state import PiggybackState
 from repro.network.wavelength import WavelengthAllocator
 
 
-class RouteKind(Enum):
-    """How a flow ended up being carried."""
-
-    DIRECT = "direct"
-    INDIRECT = "indirect"          # one intermediate
-    DOUBLE_INDIRECT = "double"     # stale-state fallback, two intermediates
-    BLOCKED = "blocked"
-
-
-#: Integer kind codes for the object-free batch path (also re-exported
-#: by :mod:`repro.network.simulator` for its ``BatchDecisions`` arrays).
+#: How a flow ended up being carried: direct, one intermediate, the
+#: stale-state fallback through two intermediates, or blocked. Plain
+#: ints, which :mod:`repro.network.simulator` stores in its
+#: ``BatchDecisions`` arrays.
 DIRECT, INDIRECT, DOUBLE_INDIRECT, BLOCKED = range(4)
-
-_KIND_BY_CODE = (RouteKind.DIRECT, RouteKind.INDIRECT,
-                 RouteKind.DOUBLE_INDIRECT, RouteKind.BLOCKED)
 
 
 @dataclass
@@ -61,7 +50,6 @@ class IndirectRouter:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.rng_seed)
-        self.stats = {kind: 0 for kind in RouteKind}
         self.stale_mispredictions = 0
 
     # -- public API --------------------------------------------------------------
@@ -73,9 +61,9 @@ class IndirectRouter:
         Tries the direct wavelength first (§IV-A: "sources consider
         indirect paths only if the direct bandwidth ... does not
         suffice"), then a Valiant-chosen intermediate, then the
-        intermediate's own fallback. Allocates the chosen path's hops
-        and counts the outcome in ``stats``. The outcome comes back as
-        plain ``(kind_code, hops, reservations)``: kind codes are the
+        intermediate's own fallback, and allocates the chosen path's
+        hops. The outcome comes back as plain
+        ``(kind_code, hops, reservations)``: kind codes are the
         module-level :data:`DIRECT` ... :data:`BLOCKED` ints and
         ``reservations`` the (a, b, planes) tuples, ready to be
         scattered into sub-slot token arrays. The per-flow twin that
@@ -85,7 +73,6 @@ class IndirectRouter:
         if src == dst:
             raise ValueError("source equals destination")
         code, path = self._route_core(src, dst, slots)
-        self.stats[_KIND_BY_CODE[code]] += 1
         return code, len(path) - 1, self._reserve(path, slots)
 
     def snapshot(self) -> dict:
@@ -99,16 +86,12 @@ class IndirectRouter:
         """
         return {
             "rng": self._rng.bit_generator.state,
-            "stats": {kind.value: count
-                      for kind, count in self.stats.items()},
             "stale_mispredictions": self.stale_mispredictions,
         }
 
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`snapshot` (accepts JSON-decoded dicts)."""
         self._rng.bit_generator.state = state["rng"]
-        self.stats = {kind: int(state["stats"].get(kind.value, 0))
-                      for kind in RouteKind}
         self.stale_mispredictions = int(state["stale_mispredictions"])
 
     def candidate_intermediates(self, src: int, dst: int,
@@ -117,16 +100,15 @@ class IndirectRouter:
 
         Vectorized: the first hop (src -> mid) always uses the source's
         exact occupancy; the second hop (mid -> dst) uses the
-        piggybacked board when one exists.
+        piggybacked view when one exists.
         """
         first_free = self.allocator.free_slots_from(src) >= slots
         if self.state is None:
             second_free = self.allocator.free_slots_to(dst) >= slots
         else:
-            board = self.state.board_of(src)
             total = (self.allocator.planes
                      * self.allocator.flows_per_wavelength)
-            second_free = board.view[:, dst] + slots <= total
+            second_free = self.state.view[:, dst] + slots <= total
         ok = first_free & second_free
         ok[src] = False
         ok[dst] = False

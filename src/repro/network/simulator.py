@@ -45,7 +45,6 @@ from repro.network.routing import (
     DOUBLE_INDIRECT,
     INDIRECT,
     IndirectRouter,
-    RouteKind,
 )
 from repro.network.state import PiggybackState
 from repro.network.traffic import FlowBatch
@@ -222,7 +221,7 @@ class AWGRNetworkSimulator:
     state_update_period:
         Piggyback broadcast period in slots (1 = fresh state).
     track_state:
-        When false, skip the piggyback board and route with perfect
+        When false, skip the piggyback view and route with perfect
         information: the §VI-A feasibility question (does wavelength
         capacity exist for each demand?) that
         :mod:`repro.core.placement` asks. Staleness studies keep it
@@ -400,7 +399,6 @@ class AWGRNetworkSimulator:
         bucket.append(_DirectBatch(
             src=g_src.repeat(totals), dst=g_dst.repeat(totals),
             plane=seq[token_mask], flow=order.repeat(s_slots)))
-        self.router.stats[RouteKind.DIRECT] += stop - start
 
     # -- snapshot / restore ----------------------------------------------------------
 
@@ -408,9 +406,10 @@ class AWGRNetworkSimulator:
         """JSON-stable capture of every piece of mutable run state.
 
         Covers the slot clock, wavelength occupancy, failed planes,
-        the piggyback board (including its jitter phases), the
-        router's RNG/stats, and the expiry buckets holding every
-        in-flight flow — enough that ``restore(snapshot())`` on a
+        the piggyback view (including its jitter phases), the
+        router's RNG and misprediction count, and the expiry buckets
+        holding every in-flight flow — enough that
+        ``restore(snapshot())`` on a
         freshly constructed (even differently seeded) simulator of the
         same shape continues *bit-identically* to a run that never
         stopped. Bucket insertion order is preserved through the JSON

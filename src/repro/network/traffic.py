@@ -6,10 +6,9 @@ sized from production profiles, GPU <-> HBM streams at near-line-rate,
 and GPU <-> GPU collective traffic that replaces NVLink.
 
 Traffic has one form, :class:`FlowBatch`: structure-of-arrays
-(``src``/``dst``/``gbps`` numpy arrays plus an interned kind table).
-The generators sample it with vectorized draws, every fabric reads its
-arrays, and hand-built traffic is
-``FlowBatch(src=[...], dst=[...], gbps=[...])``.
+(``src``/``dst``/``gbps`` numpy arrays). The generators sample it
+with vectorized draws, every fabric reads its arrays, and hand-built
+traffic is ``FlowBatch(src=[...], dst=[...], gbps=[...])``.
 
 Every ``*_batch`` generator consumes the RNG in exactly the order of
 the historical per-flow loop (``rng.integers(0, high_array)`` with a
@@ -22,7 +21,7 @@ kept, as the oracles of that identity, in ``tests/oracles/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +43,8 @@ def as_generator(rng: SeedLike) -> np.random.Generator:
 class FlowBatch:
     """A set of flows as structure-of-arrays.
 
-    ``src``/``dst`` are int64 endpoint arrays, ``gbps`` the float64
-    offered loads, and each flow's kind is ``kinds[kind_codes[i]]`` —
-    kind strings are interned once per batch instead of hung off every
-    flow. All four arrays have one entry per flow (``kinds`` is the
-    intern table, typically length 1 per generator).
+    ``src``/``dst`` are int64 endpoint arrays and ``gbps`` the float64
+    offered loads, one entry per flow.
 
     Batches are the one form traffic takes: generators emit them,
     the simulators' ``run``, ``offer_batch`` and every backend's
@@ -61,20 +57,13 @@ class FlowBatch:
     src: np.ndarray
     dst: np.ndarray
     gbps: np.ndarray
-    kinds: list[str] = field(default_factory=lambda: ["generic"])
-    kind_codes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.src = np.ascontiguousarray(self.src, dtype=np.int64)
         self.dst = np.ascontiguousarray(self.dst, dtype=np.int64)
         self.gbps = np.ascontiguousarray(self.gbps, dtype=np.float64)
-        if self.kind_codes is None:
-            self.kind_codes = np.zeros(len(self.src), dtype=np.int64)
-        self.kind_codes = np.ascontiguousarray(self.kind_codes,
-                                               dtype=np.int64)
         n = len(self.src)
-        if not (len(self.dst) == len(self.gbps)
-                == len(self.kind_codes) == n):
+        if not len(self.dst) == len(self.gbps) == n:
             raise ValueError("batch arrays must share one length")
         if n and np.any(self.src == self.dst):
             raise ValueError("flow endpoints must differ")
@@ -82,11 +71,6 @@ class FlowBatch:
             raise ValueError("flow bandwidth must be finite")
         if n and np.any(self.gbps <= 0):
             raise ValueError("flow bandwidth must be positive")
-        if not self.kinds:
-            raise ValueError("batch needs a non-empty kind table")
-        if n and (int(self.kind_codes.min()) < 0
-                  or int(self.kind_codes.max()) >= len(self.kinds)):
-            raise ValueError("kind code outside the intern table")
 
     def __len__(self) -> int:
         return len(self.src)
@@ -102,36 +86,22 @@ class FlowBatch:
         return slots
 
     @classmethod
-    def empty(cls, kind: str = "generic") -> "FlowBatch":
+    def empty(cls) -> "FlowBatch":
         """A zero-flow batch."""
         z = np.zeros(0, dtype=np.int64)
-        return cls(src=z, dst=z.copy(), gbps=np.zeros(0),
-                   kinds=[kind], kind_codes=z.copy())
+        return cls(src=z, dst=z.copy(), gbps=np.zeros(0))
 
     @classmethod
     def concat(cls, batches) -> "FlowBatch":
-        """Concatenate batches in order, re-interning kind tables."""
+        """Concatenate batches in order."""
         batches = [b for b in batches if len(b)]
         if not batches:
             return cls.empty()
         if len(batches) == 1:
             return batches[0]
-        kinds: list[str] = []
-        intern: dict[str, int] = {}
-        codes = []
-        for b in batches:
-            remap = np.empty(len(b.kinds), dtype=np.int64)
-            for j, kind in enumerate(b.kinds):
-                code = intern.get(kind)
-                if code is None:
-                    code = intern[kind] = len(kinds)
-                    kinds.append(kind)
-                remap[j] = code
-            codes.append(remap[b.kind_codes])
         return cls(src=np.concatenate([b.src for b in batches]),
                    dst=np.concatenate([b.dst for b in batches]),
-                   gbps=np.concatenate([b.gbps for b in batches]),
-                   kinds=kinds, kind_codes=np.concatenate(codes))
+                   gbps=np.concatenate([b.gbps for b in batches]))
 
 
 # -- generators ---------------------------------------------------------------
@@ -155,8 +125,7 @@ def uniform_batch(n_nodes: int, n_flows: int, gbps: float = 25.0,
     dst = np.ascontiguousarray(draws[1::2])
     dst += dst >= src
     return FlowBatch(src=src, dst=dst,
-                     gbps=np.full(n_flows, float(gbps)),
-                     kinds=["uniform"])
+                     gbps=np.full(n_flows, float(gbps)))
 
 
 def hotspot_batch(n_nodes: int, hotspot: int, n_flows: int,
@@ -171,8 +140,7 @@ def hotspot_batch(n_nodes: int, hotspot: int, n_flows: int,
     src += src >= hotspot
     return FlowBatch(src=src,
                      dst=np.full(n_flows, hotspot, dtype=np.int64),
-                     gbps=np.full(n_flows, float(gbps)),
-                     kinds=["hotspot"])
+                     gbps=np.full(n_flows, float(gbps)))
 
 
 def cpu_memory_batch(cpu_nodes: list[int], memory_nodes: list[int],
@@ -202,7 +170,7 @@ def cpu_memory_batch(cpu_nodes: list[int], memory_nodes: list[int],
     mems = np.asarray(memory_nodes, dtype=np.int64)
     return FlowBatch(src=np.asarray(cpu_nodes, dtype=np.int64),
                      dst=mems[np.arange(n) % len(mems)],
-                     gbps=gbps, kinds=["cpu-mem"])
+                     gbps=gbps)
 
 
 def gpu_allreduce_batch(gpu_nodes: list[int], gbps_per_pair: float,
@@ -217,5 +185,4 @@ def gpu_allreduce_batch(gpu_nodes: list[int], gbps_per_pair: float,
         raise ValueError("need at least two GPU nodes")
     src = np.asarray(gpu_nodes, dtype=np.int64)
     return FlowBatch(src=src, dst=np.roll(src, -1),
-                     gbps=np.full(len(src), float(gbps_per_pair)),
-                     kinds=["gpu-gpu"])
+                     gbps=np.full(len(src), float(gbps_per_pair)))

@@ -33,9 +33,8 @@ def encode_array(values: np.ndarray) -> dict:
     Holds the dtype, the shape and the zlib-compressed, base64-encoded
     bytes. The dtype is the narrowest that holds the array's value
     range (``np.min_scalar_type``), so equal arrays encode to equal
-    envelopes whatever dtype they are kept in, and counts that
-    outgrow a byte (or board ages that outgrow 16 bits) still
-    round-trip exactly.
+    envelopes whatever dtype they are kept in, and values that
+    outgrow a byte or 16 bits still round-trip exactly.
     """
     if values.dtype.kind not in "iu":
         raise TypeError(f"cannot encode {values.dtype} array")

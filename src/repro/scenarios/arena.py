@@ -15,8 +15,8 @@ kernel with one contender, so the per-backend report streams are
 bit-identical to M independent runs — proven by test — while the
 traffic is generated and validated once instead of M times.
 
-On top of the race, :class:`ArenaReport` places every contender with
-a power model on the §VI-E iso-performance / iso-power frontiers
+On top of the race, :class:`ArenaReport` places every contender on
+the §VI-E iso-performance / iso-power frontiers
 (:mod:`repro.analysis.frontier`): what would each topology burn to
 match the fastest, and what would each carry inside the leanest
 contender's power budget.
@@ -35,11 +35,7 @@ from repro.analysis.frontier import (
     iso_performance_frontier,
     iso_power_frontier,
 )
-from repro.scenarios.registry import (
-    available_backends,
-    backend_info,
-    make_backend,
-)
+from repro.scenarios.registry import available_backends, make_backend
 from repro.scenarios.runner import ScenarioReport, play_epochs
 from repro.scenarios.scenario import Scenario
 
@@ -54,9 +50,8 @@ class ArenaReport:
     seed: int
     #: name -> per-backend scenario report, in requested race order.
     reports: dict[str, ScenarioReport] = field(default_factory=dict)
-    #: name -> provisioned fabric power, or None for contenders
-    #: registered without a power model (excluded from frontiers).
-    power_w: dict[str, float | None] = field(default_factory=dict)
+    #: name -> provisioned fabric power (W).
+    power_w: dict[str, float] = field(default_factory=dict)
 
     @property
     def backends(self) -> tuple[str, ...]:
@@ -64,12 +59,11 @@ class ArenaReport:
         return tuple(self.reports)
 
     def frontier_points(self) -> list[FrontierPoint]:
-        """Measured (bandwidth, power) point per powered contender."""
+        """Measured (bandwidth, power) point per contender."""
         return [FrontierPoint(backend=name,
                               carried_gbps=report.carried_gbps,
                               power_w=self.power_w[name])
-                for name, report in self.reports.items()
-                if self.power_w[name] is not None]
+                for name, report in self.reports.items()]
 
     def iso_performance(self) -> list[dict]:
         """Power to match the fastest contender, cheapest-first."""
@@ -85,9 +79,7 @@ class ArenaReport:
         for name, report in self.reports.items():
             row = report.as_dict()
             row["power_w"] = self.power_w[name]
-            row["gbps_per_watt"] = (
-                report.carried_gbps / self.power_w[name]
-                if self.power_w[name] else None)
+            row["gbps_per_watt"] = report.carried_gbps / self.power_w[name]
             out.append(row)
         return out
 
@@ -148,6 +140,5 @@ def run_arena(scenario: Scenario,
     play_epochs(scenario, contenders, tuple(arena.reports.values()), 0,
                 scenario.n_epochs, seed)
     for name, backend in zip(names, contenders, strict=True):
-        arena.power_w[name] = (float(backend.power_w())
-                               if backend_info(name).power else None)
+        arena.power_w[name] = float(backend.power_w())
     return arena

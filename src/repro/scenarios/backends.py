@@ -75,7 +75,9 @@ WSS_SWITCH_W = 200.0
 class EpochReport:
     """What one fabric epoch did with one flow batch."""
 
-    epoch: int
+    #: The scenario epoch; :func:`~repro.scenarios.runner.play_epochs`
+    #: stamps it, since a backend keeps no epoch clock.
+    epoch: int = 0
     offered: int = 0
     carried: int = 0
     blocked: int = 0
@@ -230,10 +232,9 @@ class AWGRBackend:
             state_update_period=self.state_update_period,
             rng_seed=self.rng_seed,
             track_state=self.track_state)
-        self._epoch = 0
 
     def step(self, batch: FlowBatch) -> EpochReport:
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         decisions = self.sim.offer_batch(batch, self.duration_slots)
         carried = decisions.carried_mask
         report.offered = len(batch)
@@ -247,7 +248,6 @@ class AWGRBackend:
         self.sim.step()
         report.extras["healthy_planes"] = (
             self.sim.allocator.healthy_planes)
-        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -279,15 +279,13 @@ class AWGRBackend:
         return TransceiverPower().power_w(capacity)
 
     def snapshot(self) -> dict:
-        return {"backend": self.name, "epoch": self._epoch,
-                "sim": self.sim.snapshot()}
+        return {"backend": self.name, "sim": self.sim.snapshot()}
 
     def restore(self, state: dict) -> None:
         if state.get("backend") != self.name:
             raise ValueError(
                 f"snapshot is for backend {state.get('backend')!r}, "
                 f"not {self.name!r}")
-        self._epoch = int(state["epoch"])
         self.sim.restore(state["sim"])
 
 
@@ -322,7 +320,6 @@ class WSSBackend:
             n_switches=self.n_switches, radix=self.n_nodes,
             wavelengths_per_port=self.wavelengths_per_port,
             gbps_per_wavelength=self.gbps_per_wavelength)
-        self._epoch = 0
         self._since_reconfig = 0
 
     def _serve(self, demand: np.ndarray) -> tuple[bool, float]:
@@ -353,7 +350,7 @@ class WSSBackend:
         fraction is the same elementwise IEEE division, and the Gbps
         aggregates fold strictly left to right.
         """
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         demand = WSSNetworkSimulator.demand_matrix(batch, self.n_nodes)
         reconfigured, downtime_fraction = self._serve(demand)
         n = len(batch)
@@ -374,7 +371,6 @@ class WSSBackend:
         report.extras["reconfigured"] = reconfigured
         report.extras["downtime_fraction"] = downtime_fraction
         report.extras["healthy_switches"] = len(self.fabric.configs)
-        self._epoch += 1
         self._since_reconfig += 1
         return report
 
@@ -426,7 +422,7 @@ class WSSBackend:
     def snapshot(self) -> dict:
         # reconfig_period lives on the backend (events mutate it) and
         # the switch bank / lag settings on the fabric.
-        return {"backend": self.name, "epoch": self._epoch,
+        return {"backend": self.name,
                 "since_reconfig": self._since_reconfig,
                 "reconfig_period": self.reconfig_period,
                 "fabric": self.fabric.snapshot()}
@@ -436,7 +432,6 @@ class WSSBackend:
             raise ValueError(
                 f"snapshot is for backend {state.get('backend')!r}, "
                 f"not {self.name!r}")
-        self._epoch = int(state["epoch"])
         self._since_reconfig = int(state["since_reconfig"])
         self.reconfig_period = int(state["reconfig_period"])
         self.fabric.restore(state["fabric"])
@@ -470,7 +465,6 @@ class ElectronicBackend:
         self.endpoint_gbps = switch.lane_gbps * self.lanes_per_endpoint
         self.added_latency_ns = electronic_disaggregation_latency_ns(
             self.technology, endpoints=self.n_nodes)  # repro-check: derived
-        self._epoch = 0
 
     def step(self, batch: FlowBatch) -> EpochReport:
         """Serve one epoch: scatter-add endpoint loads, gather shares.
@@ -481,7 +475,7 @@ class ElectronicBackend:
         elementwise IEEE arithmetic, and the Gbps aggregates fold
         strictly left to right.
         """
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         n = len(batch)
         egress = np.zeros(self.n_nodes)
         ingress = np.zeros(self.n_nodes)
@@ -496,7 +490,6 @@ class ElectronicBackend:
         report.carried_gbps = sequential_sum(0.0, batch.gbps * share)
         report.slowdowns = (1.0 / share).tolist()
         report.extras["added_latency_ns"] = self.added_latency_ns
-        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -512,13 +505,12 @@ class ElectronicBackend:
 
     def snapshot(self) -> dict:
         # Lane caps are pure functions of the configuration
-        # (ELECTRONIC_CATALOG is immutable), so the epoch counter is
-        # the comparator's entire mutable state.
-        return {"backend": self.name, "epoch": self._epoch}
+        # (ELECTRONIC_CATALOG is immutable): the comparator has no
+        # mutable state, so its snapshot only names it.
+        return {"backend": self.name}
 
     def restore(self, state: dict) -> None:
         if state.get("backend") != self.name:
             raise ValueError(
                 f"snapshot is for backend {state.get('backend')!r}, "
                 f"not {self.name!r}")
-        self._epoch = int(state["epoch"])

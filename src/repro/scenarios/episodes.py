@@ -191,14 +191,14 @@ class Episode:
         ``tests/oracles/episodes.py`` keeps as its oracle.
         """
         if not self.active(epoch):
-            return FlowBatch.empty(self.kind)
+            return FlowBatch.empty()
         scale = self.intensity(epoch, n_epochs)
         if scale <= 0.0:
-            return FlowBatch.empty(self.kind)
+            return FlowBatch.empty()
         if self.kind in ("uniform", "hotspot"):
             count = int(round(sample_count(self.flows, rng) * scale))
             if count <= 0:
-                return FlowBatch.empty(self.kind)
+                return FlowBatch.empty()
             if self.kind == "uniform":
                 return uniform_batch(n_nodes, count, gbps=self.gbps,
                                      rng=rng)
@@ -216,15 +216,13 @@ class Episode:
             return FlowBatch(
                 src=np.asarray(nodes, dtype=np.int64),
                 dst=mem[np.arange(len(nodes)) % len(mem)],
-                gbps=np.full(len(nodes), gbps), kinds=["gpu-hbm"])
+                gbps=np.full(len(nodes), gbps))
         if self.kind == "cpu-mem":
             nodes = self._nodes(n_nodes)
             mem = self._memory_nodes(n_nodes, nodes)
             base = cpu_memory_batch(nodes, mem, rng=rng)
             return FlowBatch(src=base.src, dst=base.dst,
-                             gbps=np.maximum(0.01, base.gbps * scale),
-                             kinds=base.kinds,
-                             kind_codes=base.kind_codes)
+                             gbps=np.maximum(0.01, base.gbps * scale))
         # "cori-replay": resample per-node utilization each epoch and
         # convert it to CPU->memory Gbps against the resource's peak.
         from repro.workloads.cori import CORI_PROFILES
@@ -239,8 +237,7 @@ class Episode:
         return FlowBatch(
             src=np.asarray(nodes, dtype=np.int64),
             dst=mem[np.arange(len(nodes)) % len(mem)],
-            gbps=np.maximum(0.01, utilization * peak_gbps * scale),
-            kinds=["cori-replay"])
+            gbps=np.maximum(0.01, utilization * peak_gbps * scale))
 
     # -- node-set helpers ------------------------------------------------------
 

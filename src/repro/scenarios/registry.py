@@ -10,13 +10,10 @@ one decorated class: it appears in the CLI, the arena, the sweeps,
 and the conformance gates with no other wiring.
 
 The registry records per-backend *capabilities* so callers can ask
-what a contender supports instead of special-casing names:
-
-* ``fail_plane`` — honours ``fail_plane`` / ``repair_plane``
-  scripted events (backends without it return ``False`` from
-  ``apply_event`` and the runner counts the event as ignored);
-* ``power`` — models provisioned fabric power via ``power_w()`` so
-  the arena can place it on iso-performance / iso-power frontiers.
+what a contender supports instead of special-casing names: a
+``fail_plane`` backend honours ``fail_plane`` / ``repair_plane``
+scripted events (others return ``False`` from ``apply_event`` and the
+runner counts the event as ignored).
 
 A backend's default config is its constructor's defaults.
 ``seed_param`` names the constructor keyword (if any) that receives
@@ -53,8 +50,6 @@ class BackendInfo:
     description: str
     #: Honours fail_plane / repair_plane scripted events.
     fail_plane: bool = True
-    #: Exposes ``power_w()`` for iso-perf / iso-power frontiers.
-    power: bool = True
     #: Constructor keyword that receives ``make_backend``'s seed, or
     #: None for backends that are deterministic given their inputs.
     seed_param: str | None = None
@@ -62,11 +57,11 @@ class BackendInfo:
     def capabilities(self) -> dict:
         """JSON-stable capability flags (the ``repro arena --list``
         table)."""
-        return {"fail_plane": self.fail_plane, "power": self.power}
+        return {"fail_plane": self.fail_plane}
 
 
 def register_backend(name: str, *, description: str = "",
-                     fail_plane: bool = True, power: bool = True,
+                     fail_plane: bool = True,
                      seed_param: str | None = None,
                      ) -> Callable[[_ClassT], _ClassT]:
     """Class decorator adding a backend to the global registry.
@@ -74,7 +69,8 @@ def register_backend(name: str, *, description: str = "",
     The decorated class must implement the full
     :class:`~repro.scenarios.backends.FabricBackend` surface
     (``step`` / ``apply_event`` / ``snapshot`` / ``restore`` and a
-    ``name`` attribute) and take ``n_nodes`` as a keyword — that is
+    ``name`` attribute), model its power with ``power_w()`` and take
+    ``n_nodes`` as a keyword — that is
     the entire contract; registration is what wires it into the CLI,
     sweeps, the arena, and the conformance test gates. Those gates
     also want the class's per-flow ``Scalar<Class>`` oracle in
@@ -88,8 +84,7 @@ def register_backend(name: str, *, description: str = "",
                 f"(by {_REGISTRY[name].cls.__name__})")
         _REGISTRY[name] = BackendInfo(
             name=name, cls=cls, description=description,
-            fail_plane=fail_plane, power=power,
-            seed_param=seed_param)
+            fail_plane=fail_plane, seed_param=seed_param)
         return cls
 
     return decorate

@@ -42,8 +42,10 @@ from repro.scenarios.scenario import Scenario
 #: batches. v4: one piggyback board, and AWGR occupancy and board
 #: arrays travel as compressed typed envelopes. v5: WSS switch
 #: assignments travel as compressed typed envelopes, and session event
-#: totals are derived from ``event_counts``, not stored.
-CHECKPOINT_FORMAT = 5
+#: totals are derived from ``event_counts``, not stored. v6: backends
+#: keep no epoch counter, the AWGR router no per-kind route counts,
+#: and the piggyback state is one view envelope without ages.
+CHECKPOINT_FORMAT = 6
 
 
 @dataclass
@@ -163,8 +165,7 @@ def play_epochs(scenario: Scenario, backends: Sequence[FabricBackend],
     batch, so each backend's stream is bit-identical to playing it
     alone. ``reports[i]`` receives ``backends[i]``'s
     :class:`~repro.scenarios.backends.EpochReport` per epoch, stamped
-    with the absolute epoch (a backend counts only the epochs it
-    stepped itself).
+    here with the absolute epoch: backends keep no epoch clock.
     """
     if not 0 <= start <= stop <= scenario.n_epochs:
         raise ValueError(

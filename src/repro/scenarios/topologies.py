@@ -97,7 +97,6 @@ class FullMeshBackend:
             raise ValueError("links_per_pair must be >= 1")
         if self.gbps_per_link <= 0:
             raise ValueError("gbps_per_link must be positive")
-        self._epoch = 0
         self._failed_planes: list[int] = []
 
     @property
@@ -113,7 +112,7 @@ class FullMeshBackend:
         share is the same elementwise IEEE min/division, and the Gbps
         aggregates fold strictly left to right.
         """
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         capacity = self.healthy_link_planes * self.gbps_per_link
         demand = WSSNetworkSimulator.demand_matrix(batch, self.n_nodes)
         n = len(batch)
@@ -131,7 +130,6 @@ class FullMeshBackend:
             0.0, (batch.gbps * share)[carried])
         report.slowdowns = (1.0 / share[carried]).tolist()
         report.extras["healthy_link_planes"] = self.healthy_link_planes
-        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -165,7 +163,7 @@ class FullMeshBackend:
             pj_per_bit=FULL_MESH_PJ_PER_BIT).power_w(capacity)
 
     def snapshot(self) -> dict:
-        return {"backend": self.name, "epoch": self._epoch,
+        return {"backend": self.name,
                 "failed_planes": sorted(
                     int(p) for p in self._failed_planes)}
 
@@ -174,7 +172,6 @@ class FullMeshBackend:
             raise ValueError(
                 f"snapshot is for backend {state.get('backend')!r}, "
                 f"not {self.name!r}")
-        self._epoch = int(state["epoch"])
         self._failed_planes = [int(p) for p in state["failed_planes"]]
 
 
@@ -237,7 +234,6 @@ class DragonflyBackend:
         self._node_group = (np.arange(self.n_nodes, dtype=np.int64)
                             // group_size)  # repro-check: derived
         self._rng = np.random.default_rng(self.rng_seed)
-        self._epoch = 0
         self._failed_planes: list[int] = []
 
     @property
@@ -260,7 +256,7 @@ class DragonflyBackend:
         arithmetic, and the Gbps aggregates fold strictly left to
         right.
         """
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         n = len(batch)
         gcap = self.healthy_global_links * self.gbps_per_global_link
         g_src = self._node_group[batch.src]
@@ -302,7 +298,6 @@ class DragonflyBackend:
         report.slowdowns = (hops[carried] / share[carried]).tolist()
         report.extras["healthy_global_links"] = self.healthy_global_links
         report.extras["routing"] = self.routing
-        self._epoch += 1
         return report
 
     def apply_event(self, event: ScenarioEvent) -> bool:
@@ -349,7 +344,7 @@ class DragonflyBackend:
         # The Valiant intermediate draw consumes the router RNG per
         # inter-group flow, so carry-mode resume needs the exact
         # generator state (a plain dict of ints, JSON-lossless).
-        return {"backend": self.name, "epoch": self._epoch,
+        return {"backend": self.name,
                 "failed_planes": sorted(
                     int(p) for p in self._failed_planes),
                 "rng": self._rng.bit_generator.state}
@@ -359,6 +354,5 @@ class DragonflyBackend:
             raise ValueError(
                 f"snapshot is for backend {state.get('backend')!r}, "
                 f"not {self.name!r}")
-        self._epoch = int(state["epoch"])
         self._failed_planes = [int(p) for p in state["failed_planes"]]
         self._rng.bit_generator.state = state["rng"]

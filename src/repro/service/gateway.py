@@ -32,10 +32,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.pool import SessionNotFound, SessionPool
-from repro.service.protocol import (ProtocolError, check_fork_events,
-                                    encode_json, parse_fork,
-                                    parse_submit, session_detail,
-                                    session_summary, sse_frame)
+from repro.service.protocol import (ProtocolError, dry_run, encode_json,
+                                    parse_fork, parse_submit,
+                                    session_detail, session_summary,
+                                    sse_frame)
 from repro.service.sessions import TERMINAL_STATES
 
 #: Seconds an SSE stream waits for the next epoch before re-checking
@@ -179,6 +179,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_sessions(self, parts, query) -> None:
         kwargs = parse_submit(self._read_body())
+        dry_run(kwargs["scenario"], kwargs["backend"],
+                kwargs["backend_params"], kwargs["base_seed"])
         session = self.pool.submit(**kwargs)
         self._send_json(session_summary(session), status=201)
 
@@ -202,7 +204,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_fork(self, parts, query) -> None:
         kwargs = parse_fork(self._read_body())
-        check_fork_events(self.pool.get(parts[1]), kwargs["events"])
+        parent = self.pool.get(parts[1])
+        dry_run(parent.fork_scenario(kwargs["events"], kwargs["n_epochs"]),
+                parent.backend_name, parent.backend_params,
+                parent.base_seed)
         child = self.pool.fork(parts[1], **kwargs)
         self._send_json(session_summary(child), status=201)
 

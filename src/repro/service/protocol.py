@@ -20,6 +20,11 @@ inline config::
     {"at_epoch": 12, "n_epochs": 64,
      "events": [{"epoch": 14, "action": "fail_plane", "value": 0}]}
 
+Both routes validate by construction before any session exists:
+:func:`parse_submit` builds the scenario, and :func:`dry_run` builds
+the backend and applies the events the session will play. A body that
+fails either is a 400.
+
 Streaming
 ---------
 ``GET /sessions/{id}/stream`` is Server-Sent Events: one ``epoch``
@@ -34,9 +39,10 @@ from __future__ import annotations
 import inspect
 import json
 
+from repro.scenarios.library import get_scenario
 from repro.scenarios.registry import (available_backends, backend_info,
                                      make_backend)
-from repro.scenarios.scenario import EVENT_ACTIONS, ScenarioEvent
+from repro.scenarios.scenario import EVENT_ACTIONS, Scenario, ScenarioEvent
 from repro.service.sessions import Session
 
 #: SSE event names the stream endpoint emits.
@@ -92,8 +98,24 @@ def _optional_int(body: dict, key: str, default=None):
     return value
 
 
+def _build_scenario(spec, n_epochs: int | None) -> Scenario:
+    """The submitted scenario, horizon override applied; a name or a
+    config that builds no scenario is a :class:`ProtocolError`."""
+    try:
+        scenario = (get_scenario(spec) if isinstance(spec, str)
+                    else Scenario.from_config(spec))
+        if n_epochs is not None:
+            scenario = scenario.with_epochs(n_epochs)
+    except KeyError as exc:
+        raise ProtocolError(f"invalid scenario: {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid scenario: {exc}") from None
+    return scenario
+
+
 def parse_submit(body: dict) -> dict:
-    """``POST /sessions`` body -> :meth:`SessionPool.submit` kwargs."""
+    """``POST /sessions`` body -> :meth:`SessionPool.submit` kwargs,
+    with the scenario built (see :func:`dry_run` for the backend)."""
     if not isinstance(body, dict):
         raise ProtocolError("submit body must be a JSON object")
     scenario = _require(body, "scenario")
@@ -123,24 +145,23 @@ def parse_submit(body: dict) -> dict:
             f"unknown backend_params for {backend!r}: "
             f"{sorted(set(params) - accepted)} "
             f"(accepted: {sorted(accepted)})")
-    kwargs = {
-        "scenario": scenario,
-        "backend": backend,
-        "backend_params": params,
-        "base_seed": _optional_int(body, "base_seed", 0),
-        "checkpoint_epochs": _optional_int(body, "checkpoint_epochs",
-                                           16),
-    }
-    n_epochs = _optional_int(body, "n_epochs")
-    if n_epochs is not None:
-        kwargs["n_epochs"] = n_epochs
     unknown = set(body) - {"scenario", "backend", "backend_params",
                            "base_seed", "checkpoint_epochs",
                            "n_epochs"}
     if unknown:
         raise ProtocolError(
             f"unknown submit fields: {sorted(unknown)}")
-    return kwargs
+    checkpoint_epochs = _optional_int(body, "checkpoint_epochs", 16)
+    if checkpoint_epochs < 1:
+        raise ProtocolError("checkpoint_epochs must be >= 1")
+    return {
+        "scenario": _build_scenario(scenario,
+                                    _optional_int(body, "n_epochs")),
+        "backend": backend,
+        "backend_params": params,
+        "base_seed": _optional_int(body, "base_seed", 0),
+        "checkpoint_epochs": checkpoint_epochs,
+    }
 
 
 def parse_events(payload) -> tuple:
@@ -183,24 +204,32 @@ def parse_fork(body: dict) -> dict:
     return kwargs
 
 
-def check_fork_events(parent: Session, events: tuple) -> None:
-    """Dry-run a fork child's events on a throwaway backend.
+def dry_run(scenario: Scenario, backend: str, params: dict,
+            seed: int) -> None:
+    """Start a session's run on a throwaway backend.
 
-    The parent's scripted events and the new ones are applied in the
-    order the child would play them (by epoch, stable). An event the
-    backend rejects is a :class:`ProtocolError` here, instead of a
-    child that fails in a worker after its retries."""
-    backend = make_backend(parent.backend_name, parent.scenario.n_nodes,
-                           seed=parent.base_seed, **parent.backend_params)
-    for event in sorted(parent.scenario.events + tuple(events),
-                        key=lambda e: e.epoch):
+    Builds ``backend`` as the session will (``seed``, ``params``, the
+    scenario's node count) and applies the scenario's events that
+    fire before its horizon, in the order the session plays them (by
+    epoch, stable). A backend that cannot be built, or an event it
+    rejects, is a :class:`ProtocolError` here, instead of a session
+    that fails in a worker after its retries."""
+    try:
+        fabric = make_backend(backend, scenario.n_nodes, seed=seed,
+                              **params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"the {backend!r} backend cannot be built with seed {seed} "
+            f"and params {params}: {exc}") from None
+    fired = [e for e in scenario.events if e.epoch < scenario.n_epochs]
+    for event in sorted(fired, key=lambda e: e.epoch):
         try:
-            backend.apply_event(event)
+            fabric.apply_event(event)
         except (ValueError, TypeError, RuntimeError) as exc:
             raise ProtocolError(
                 f"event at epoch {event.epoch} ({event.action} "
-                f"{event.value!r}) rejected by the "
-                f"{parent.backend_name!r} backend: {exc}") from None
+                f"{event.value!r}) rejected by the {backend!r} "
+                f"backend: {exc}") from None
 
 
 def encode_json(payload: dict) -> bytes:

@@ -356,6 +356,18 @@ class Session:
 
     # -- fork ------------------------------------------------------------------
 
+    def fork_scenario(self, events: tuple = (),
+                      n_epochs: int | None = None) -> Scenario:
+        """What a fork child plays: this session's scenario plus
+        ``events``, on the ``n_epochs`` horizon when given."""
+        scenario = self.scenario
+        if events:
+            scenario = replace(scenario,
+                               events=scenario.events + tuple(events))
+        if n_epochs is not None:
+            scenario = scenario.with_epochs(n_epochs)
+        return scenario
+
     def fork(self, child_id: str, at_epoch: int,
              events: tuple = (), n_epochs: int | None = None
              ) -> "Session":
@@ -399,15 +411,9 @@ class Session:
         backend, _ = replay_to(self.scenario, self.backend_name,
                                self.backend_params, self.base_seed,
                                checkpoints, at_epoch)
-        scenario = self.scenario
-        if events:
-            scenario = replace(scenario,
-                               events=scenario.events + tuple(events))
-        if n_epochs is not None:
-            scenario = scenario.with_epochs(n_epochs)
         child = Session(
             session_id=child_id,
-            scenario=scenario,
+            scenario=self.fork_scenario(events, n_epochs),
             backend_name=self.backend_name,
             backend_params=copy.deepcopy(self.backend_params),
             base_seed=self.base_seed,

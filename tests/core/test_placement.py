@@ -109,15 +109,20 @@ class TestFlows:
                                             memory_gbyte=512.0,
                                             nic_gbps=200.0))
         flows = engine.flows_for(placement)
-        kinds = {flows.kinds[code] for code in flows.kind_codes}
-        assert {"cpu-mem", "cpu-nic", "gpu-hbm"} <= kinds
+        pairs = set(zip(flows.src.tolist(), flows.dst.tolist()))
+        for sources, sinks in ((placement.cpus, placement.ddr4),
+                               (placement.cpus, placement.nics),
+                               (placement.gpus, placement.hbm)):
+            assert {(a, b) for a in sources for b in sinks
+                    if a != b} & pairs
 
     def test_gpu_hbm_bandwidth_scales_with_gpus(self):
         engine = PlacementEngine()
         placement = engine.place(JobRequest("j", gpus=3,
                                             memory_gbyte=0.0))
         flows = engine.flows_for(placement)
-        gpu_hbm = flows.kind_codes == flows.kinds.index("gpu-hbm")
+        gpu_hbm = (np.isin(flows.src, list(placement.gpus))
+                   & np.isin(flows.dst, list(placement.hbm)))
         assert flows.gbps[gpu_hbm].sum() == pytest.approx(3 * 1555.2 * 8.0)
 
     def test_memory_only_job_has_no_gpu_flows(self):
@@ -126,8 +131,8 @@ class TestFlows:
                                             memory_gbyte=64.0))
         flows = engine.flows_for(placement)
         assert len(flows)
-        assert not np.any(flows.kind_codes
-                          == flows.kinds.index("gpu-hbm"))
+        # Every flow leaves a CPU MCM: none runs GPU -> HBM.
+        assert set(flows.src.tolist()) <= set(placement.cpus)
 
 
 class TestBandwidthValidation:

@@ -96,14 +96,14 @@ class TestPinnedKeyHashes:
 
     def test_session_key(self):
         assert SessionKey("s0001").config_hash == (
-            "bfa73a32f7a6cc8eb0efc1c26a788986"
-            "d794f03f5ffb0e3f6ef05075905ab8ec")
+            "b400f27cabae6e827e4b04cc0a74d920"
+            "3aababd5bcc14b473ca125cdac6fffba")
 
     def test_chunk_key(self):
         runner = ShardedScenarioRunner(get_scenario("week_cori"), "awgr")
         assert runner.chunk_key(0, 1440).config_hash == (
-            "b2df1a82a39a7ad3411f9912676352cd"
-            "ee43013121bb39663a1113e8b5268db3")
+            "0adaf71c9240e12b517170e85ea829d4"
+            "af5cff12c1d067f26cb8e47e6c53a6fd")
 
     def test_sweep_task(self):
         task = get_experiment("fig8_latency_sensitivity").tasks()[0]

@@ -4,8 +4,8 @@ The batched path (:meth:`AWGRNetworkSimulator.offer_batch`) must be an
 *exact* replay of sequential per-flow admission, which
 ``ScalarAWGRNetworkSimulator.offer`` in ``tests/oracles/simulator.py``
 keeps: identical :class:`SimulationReport` aggregates (bit-identical
-floats), identical wavelength occupancy, identical router statistics
-and RNG consumption — on uniform, hotspot, stale-state, and
+floats), identical wavelength occupancy, identical stale
+mispredictions and RNG consumption — on uniform, hotspot, stale-state, and
 failure-injected workloads. These are seeded property-style suites:
 each case loops over several seeds rather than one hand-picked
 instance.
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.network.routing import _KIND_BY_CODE, RouteKind
 from repro.network.simulator import (
     BLOCKED,
     DIRECT,
@@ -25,6 +24,7 @@ from repro.network.simulator import (
 )
 from repro.network.traffic import FlowBatch, hotspot_batch, uniform_batch
 from tests.oracles.flows import Flow, from_flows
+from tests.oracles.routing import _KIND_BY_CODE, RouteKind
 from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
 
@@ -38,8 +38,9 @@ def make_pair(seed: int, **kwargs) -> tuple[ScalarAWGRNetworkSimulator,
 
 def assert_equivalent(scalar: ScalarAWGRNetworkSimulator,
                       batched: AWGRNetworkSimulator,
-                      batches, duration_slots: int) -> None:
-    """Run both paths and require bit-identical observable state."""
+                      batches, duration_slots: int):
+    """Run both paths and require bit-identical observable state;
+    return the batched path's report."""
     report_scalar = scalar.run(batches, duration_slots)
     report_batched = batched.run(batches, duration_slots)
     assert report_scalar.as_dict() == report_batched.as_dict()
@@ -48,9 +49,9 @@ def assert_equivalent(scalar: ScalarAWGRNetworkSimulator,
     assert report_scalar.carried_gbps == report_batched.carried_gbps
     assert np.array_equal(scalar.allocator._occupancy,
                           batched.allocator._occupancy)
-    assert scalar.router.stats == batched.router.stats
     assert (scalar.router.stale_mispredictions
             == batched.router.stale_mispredictions)
+    return report_batched
 
 
 class TestSeededEquivalence:
@@ -76,9 +77,10 @@ class TestSeededEquivalence:
                                     flows_per_wavelength=1)
         batches = [hotspot_batch(12, 0, 30, gbps=25.0, rng=300 + seed)
                    for _ in range(4)]
-        assert_equivalent(scalar, batched, batches, duration_slots=4)
+        report = assert_equivalent(scalar, batched, batches,
+                                   duration_slots=4)
         # The workload must actually exercise blocking.
-        assert batched.router.stats[RouteKind.BLOCKED] > 0
+        assert report.blocked > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stale_state_fallback(self, seed):
@@ -121,10 +123,11 @@ class TestSeededEquivalence:
         scalar, batched = make_pair(0, n_nodes=3, planes=1,
                                     flows_per_wavelength=1)
         batch = FlowBatch(src=[0, 0, 2], dst=[1, 1, 1], gbps=[25.0] * 3)
-        assert_equivalent(scalar, batched, [batch], duration_slots=2)
+        report = assert_equivalent(scalar, batched, [batch],
+                                   duration_slots=2)
         # Sanity: the third flow really was displaced.
-        assert batched.router.stats[RouteKind.DIRECT] == 1
-        assert batched.router.stats[RouteKind.BLOCKED] >= 1
+        assert report.carried_direct == 1
+        assert report.blocked >= 1
 
 
 def spy_route_tokens(sim: AWGRNetworkSimulator) -> list[int]:
@@ -192,7 +195,7 @@ class TestGeneratedEquivalence:
                      Flow(0, 2, 25.0), Flow(2, 1, 25.0)]], 1, 0))
     def test_offer_batch_replays_offer(self, case):
         """``offer_batch`` against the per-flow ``offer`` loop: kinds,
-        hops, router stats and occupancy after every slot, then the
+        hops, stale mispredictions and occupancy after every slot, then the
         dropped count and occupancy after a later plane failure and
         after everything expires. ``route_tokens`` never answers
         DIRECT, so the scan routes only flows their pair cannot
@@ -208,7 +211,6 @@ class TestGeneratedEquivalence:
             assert [_KIND_BY_CODE[k] for k in decisions.kinds.tolist()] \
                 == [d.kind for d in expected]
             assert decisions.hops.tolist() == [d.hops for d in expected]
-            assert scalar.router.stats == batched.router.stats
             assert (scalar.router.stale_mispredictions
                     == batched.router.stale_mispredictions)
             assert np.array_equal(scalar.allocator._occupancy,

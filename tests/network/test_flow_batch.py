@@ -35,8 +35,7 @@ from tests.oracles.flows import from_flows, to_flows
 def assert_same_flows(batch_flows, oracle_flows):
     assert len(batch_flows) == len(oracle_flows)
     for got, want in zip(batch_flows, oracle_flows):
-        assert (got.src, got.dst, got.kind) == \
-            (want.src, want.dst, want.kind)
+        assert (got.src, got.dst) == (want.src, want.dst)
         # bit-identical, not approx: the pinned scenario regressions
         # depend on the exact float stream.
         assert got.gbps == want.gbps
@@ -119,7 +118,6 @@ class TestFlowBatch:
         flows = (to_flows(uniform_batch(10, 20, rng=1))
                  + to_flows(gpu_allreduce_batch([0, 1, 2], 50.0)))
         batch = from_flows(flows)
-        assert batch.kinds == ["uniform", "gpu-gpu"]
         assert to_flows(batch) == flows
         assert len(batch) == len(flows)
 
@@ -136,12 +134,11 @@ class TestFlowBatch:
         assert batch == batch
         assert (batch == uniform_batch(8, 3, rng=1)) is False
 
-    def test_concat_reinterns_kinds(self):
+    def test_concat_keeps_flow_order(self):
         a = uniform_batch(8, 4, rng=0)
         b = hotspot_batch(8, 2, 3, rng=0)
         c = uniform_batch(8, 2, rng=1)
         cat = FlowBatch.concat([a, b, c])
-        assert cat.kinds == ["uniform", "hotspot"]
         assert to_flows(cat) == to_flows(a) + to_flows(b) + to_flows(c)
 
     def test_concat_empty(self):
@@ -166,7 +163,3 @@ class TestFlowBatch:
         with pytest.raises(ValueError):
             FlowBatch(src=np.array([0]), dst=np.array([1, 2]),
                       gbps=np.array([1.0]))
-        with pytest.raises(ValueError):
-            FlowBatch(src=np.array([0]), dst=np.array([1]),
-                      gbps=np.array([1.0]), kinds=["x"],
-                      kind_codes=np.array([4]))

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.routing import IndirectRouter, RouteKind
+from repro.network.routing import IndirectRouter
 from repro.network.state import PiggybackState
 from repro.network.wavelength import WavelengthAllocator
 from tests.oracles import routing as oracle
-from tests.oracles.routing import ScalarIndirectRouter
+from tests.oracles.routing import RouteKind, ScalarIndirectRouter
 
 
 def make_router(n_nodes=6, planes=2, flows_per_wavelength=1,
@@ -121,19 +121,13 @@ class TestStaleFallback:
         router.route_flow(0, 1)
         assert router.stale_mispredictions == 0
 
-    def test_stats_accumulate(self):
-        router, alloc, _ = make_router()
-        router.route_flow(0, 1)
-        router.route_flow(1, 2)
-        assert router.stats[RouteKind.DIRECT] == 2
-
 
 class TestFallbackAllocatorCalls:
     """The stale walk allocates only the hops of the path it returns:
     a mispredicted candidate costs no allocate/release pair."""
 
     def stale_column(self, monkeypatch, free_src=None, seed=0):
-        """n=8, one plane, one flow per wavelength, boards frozen at the
+        """n=8, one plane, one flow per wavelength, views frozen at the
         empty fabric, every (x, 7) pair busy except ``free_src``'s."""
         router, alloc, _ = make_router(n_nodes=8, planes=1,
                                        update_period=1000, seed=seed)
@@ -215,7 +209,7 @@ class TestRouteTokensTwin:
         _, r_a, alloc_a = self.drive(lambda r, s, d: r.route_flow(s, d))
         _, r_b, alloc_b = self.drive(
             lambda r, s, d: r.route_tokens(s, d), cls=IndirectRouter)
-        # Same RNG stream consumed, same stats, same mispredictions.
+        # Same RNG stream consumed, same mispredictions.
         assert r_a.snapshot() == r_b.snapshot()
         # Same allocator mutations, plane for plane.
         for node in range(5):
@@ -245,7 +239,7 @@ class TestRouteTokensTwin:
 @st.composite
 def fabrics(draw) -> dict:
     """Router construction: size, failed planes, a random pre-fill, a
-    (mostly) saturated destination column and stale boards."""
+    (mostly) saturated destination column and stale views."""
     n = draw(st.integers(3, 20))
     planes = draw(st.integers(1, 5))
     return {
@@ -254,14 +248,14 @@ def fabrics(draw) -> dict:
         "fpw": draw(st.integers(1, 8)),
         "failed": draw(st.sets(st.integers(0, planes - 1),
                                max_size=planes - 1)),
-        # None routes on perfect information (no boards).
+        # None routes on perfect information (no view).
         "period": draw(st.one_of(st.none(), st.integers(1, 10**6))),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "fill": draw(st.floats(0.0, 1.0)),
         "hot": draw(st.integers(0, n - 1)),
         "saturate": draw(st.floats(0.5, 1.0)),
         # Broadcast the pre-fill before the hot column fills, or leave
-        # the boards at the empty fabric they were built with.
+        # the views at the empty fabric they were built with.
         "broadcast": draw(st.booleans()),
     }
 
@@ -309,8 +303,8 @@ class TestStaleWalkOracleTwin:
     mispredicted candidate's first hop, recursed into the fallback and
     released it. Two routers built alike route the same flows, one
     through production and one through the oracle: outcomes, RNG
-    state, stats, stale mispredictions and occupancy must match after
-    every call."""
+    state, stale mispredictions and occupancy must match after every
+    call."""
 
     @given(data=st.data(), fabric=fabrics())
     @settings(max_examples=200, deadline=None)

@@ -21,7 +21,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from repro.network.routing import RouteKind
 from repro.scenarios.backends import (
     AWGRBackend,
     ElectronicBackend,
@@ -30,6 +29,7 @@ from repro.scenarios.backends import (
 )
 from repro.scenarios.topologies import DragonflyBackend, FullMeshBackend
 from tests.oracles.flows import Flow, to_flows
+from tests.oracles.routing import RouteKind
 from tests.oracles.simulator import ScalarAWGRNetworkSimulator
 
 
@@ -55,7 +55,7 @@ class ScalarAWGRBackend(AWGRBackend):
             track_state=self.track_state)
 
     def step(self, batch) -> EpochReport:
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         for flow in to_flows(batch):
             decision = self.sim.offer(flow, self.duration_slots)
             report.offered += 1
@@ -71,7 +71,6 @@ class ScalarAWGRBackend(AWGRBackend):
         self.sim.step()
         report.extras["healthy_planes"] = (
             self.sim.allocator.healthy_planes)
-        self._epoch += 1
         return report
 
 
@@ -81,7 +80,7 @@ class ScalarWSSBackend(WSSBackend):
 
     def step(self, batch) -> EpochReport:
         flows = to_flows(batch)
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         demand = demand_matrix(flows, self.n_nodes)
         reconfigured, downtime_fraction = self._serve(demand)
         served = (np.minimum(demand, self.fabric.configured_gbps())
@@ -101,7 +100,6 @@ class ScalarWSSBackend(WSSBackend):
         report.extras["reconfigured"] = reconfigured
         report.extras["downtime_fraction"] = downtime_fraction
         report.extras["healthy_switches"] = len(self.fabric.configs)
-        self._epoch += 1
         self._since_reconfig += 1
         return report
 
@@ -111,7 +109,7 @@ class ScalarElectronicBackend(ElectronicBackend):
 
     def step(self, batch) -> EpochReport:
         flows = to_flows(batch)
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         egress = np.zeros(self.n_nodes)
         ingress = np.zeros(self.n_nodes)
         for flow in flows:
@@ -128,7 +126,6 @@ class ScalarElectronicBackend(ElectronicBackend):
             report.carried_gbps += flow.gbps * share
             report.slowdowns.append(1.0 / share)
         report.extras["added_latency_ns"] = self.added_latency_ns
-        self._epoch += 1
         return report
 
 
@@ -137,7 +134,7 @@ class ScalarFullMeshBackend(FullMeshBackend):
 
     def step(self, batch) -> EpochReport:
         flows = to_flows(batch)
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         capacity = self.healthy_link_planes * self.gbps_per_link
         demand = demand_matrix(flows, self.n_nodes)
         for flow in flows:
@@ -155,7 +152,6 @@ class ScalarFullMeshBackend(FullMeshBackend):
             report.carried_gbps += flow.gbps * share
             report.slowdowns.append(1.0 / share)
         report.extras["healthy_link_planes"] = self.healthy_link_planes
-        self._epoch += 1
         return report
 
 
@@ -170,7 +166,7 @@ class ScalarDragonflyBackend(DragonflyBackend):
 
     def step(self, batch) -> EpochReport:
         flows = to_flows(batch)
-        report = EpochReport(epoch=self._epoch)
+        report = EpochReport()
         gcap = self.healthy_global_links * self.gbps_per_global_link
         groups = self._node_group
         # Route: consumes the router RNG once per inter-group flow, in
@@ -223,7 +219,6 @@ class ScalarDragonflyBackend(DragonflyBackend):
             report.slowdowns.append(hops / share)
         report.extras["healthy_global_links"] = self.healthy_global_links
         report.extras["routing"] = self.routing
-        self._epoch += 1
         return report
 
 

@@ -26,7 +26,7 @@ def oracle_uniform(n_nodes, n_flows, gbps, rng):
         dst = int(rng.integers(n_nodes - 1))
         if dst >= src:
             dst += 1
-        flows.append(Flow(src, dst, gbps, kind="uniform"))
+        flows.append(Flow(src, dst, gbps))
     return flows
 
 
@@ -36,7 +36,7 @@ def oracle_hotspot(n_nodes, hotspot, n_flows, gbps, rng):
         src = int(rng.integers(n_nodes - 1))
         if src >= hotspot:
             src += 1
-        flows.append(Flow(src, hotspot, gbps, kind="hotspot"))
+        flows.append(Flow(src, hotspot, gbps))
     return flows
 
 
@@ -47,8 +47,7 @@ def oracle_cpu_memory(cpu_nodes, memory_nodes, rng):
     flows = []
     for i, cpu in enumerate(cpu_nodes):
         mem = memory_nodes[i % len(memory_nodes)]
-        flows.append(Flow(cpu, mem, float(max(demand_gbps[i], 0.01)),
-                          kind="cpu-mem"))
+        flows.append(Flow(cpu, mem, float(max(demand_gbps[i], 0.01))))
     return flows
 
 
@@ -74,16 +73,15 @@ class ScalarEpisode(Episode):
         gbps = max(0.01, self.gbps * scale)
         if self.kind == "collective":
             nodes = self._nodes(n_nodes, minimum=2)
-            return [Flow(src, nodes[(i + 1) % len(nodes)], gbps,
-                         kind="gpu-gpu")
+            return [Flow(src, nodes[(i + 1) % len(nodes)], gbps)
                     for i, src in enumerate(nodes)]
         nodes = self._nodes(n_nodes)
         mem = self._memory_nodes(n_nodes, nodes)
         if self.kind == "gpu-hbm":
-            return [Flow(src, mem[i % len(mem)], gbps, kind="gpu-hbm")
+            return [Flow(src, mem[i % len(mem)], gbps)
                     for i, src in enumerate(nodes)]
         if self.kind == "cpu-mem":
-            return [Flow(f.src, f.dst, max(0.01, f.gbps * scale), f.kind)
+            return [Flow(f.src, f.dst, max(0.01, f.gbps * scale))
                     for f in oracle_cpu_memory(nodes, mem, rng)]
         # "cori-replay"
         profile = CORI_PROFILES[self.params.get("resource",
@@ -91,6 +89,5 @@ class ScalarEpisode(Episode):
         peak_gbps = float(self.params.get("peak_gbps", 1096.0))
         utilization = profile.sample(len(nodes), rng)
         return [Flow(src, mem[i % len(mem)],
-                     max(0.01, float(utilization[i]) * peak_gbps * scale),
-                     kind="cori-replay")
+                     max(0.01, float(utilization[i]) * peak_gbps * scale))
                 for i, src in enumerate(nodes)]

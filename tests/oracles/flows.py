@@ -27,14 +27,11 @@ class Flow:
         Endpoint indices in the simulated fabric.
     gbps:
         Offered load.
-    kind:
-        Free-form label ("cpu-mem", "gpu-hbm", ...), used in reports.
     """
 
     src: int
     dst: int
     gbps: float
-    kind: str = "generic"
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -49,20 +46,15 @@ class Flow:
 
 def to_flows(batch: FlowBatch) -> list[Flow]:
     """The flows of ``batch`` as objects, in batch order."""
-    kinds = batch.kinds
-    return [Flow(s, d, g, kinds[c])
-            for s, d, g, c in zip(batch.src.tolist(), batch.dst.tolist(),
-                                  batch.gbps.tolist(),
-                                  batch.kind_codes.tolist())]
+    return [Flow(s, d, g)
+            for s, d, g in zip(batch.src.tolist(), batch.dst.tolist(),
+                               batch.gbps.tolist())]
 
 
 def from_flows(flows: list[Flow]) -> FlowBatch:
-    """A batch of ``flows``, in order, kinds interned by first use."""
+    """A batch of ``flows``, in order."""
     if not flows:
         return FlowBatch.empty()
-    kinds = list(dict.fromkeys(f.kind for f in flows))
-    code = {kind: i for i, kind in enumerate(kinds)}
     return FlowBatch(src=[f.src for f in flows],
                      dst=[f.dst for f in flows],
-                     gbps=[f.gbps for f in flows], kinds=kinds,
-                     kind_codes=[code[f.kind] for f in flows])
+                     gbps=[f.gbps for f in flows])

@@ -9,30 +9,46 @@ Two reference implementations, each kept verbatim:
   path first and allocates only its hops. ``self`` became ``router``
   and the router's ``max_fallback_depth`` field became
   :data:`MAX_FALLBACK_DEPTH`, the paper's single second-intermediate
-  fallback. ``route`` adds the router's stats bookkeeping.
+  fallback. ``route`` adds the source-equals-destination check.
 * :class:`ScalarIndirectRouter` adds ``route_flow``/``release`` and
   their :class:`RouteDecision` objects: the per-flow API the
   simulator's scalar admission loop used, twin of the object-free
   :meth:`~repro.network.routing.IndirectRouter.route_tokens`.
+  :class:`RouteKind` labels a decision; production carries the plain
+  int codes :data:`~repro.network.routing.DIRECT` ...
+  :data:`~repro.network.routing.BLOCKED`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from repro.network.routing import (
-    _KIND_BY_CODE,
     BLOCKED,
     DIRECT,
     DOUBLE_INDIRECT,
     INDIRECT,
     IndirectRouter,
-    RouteKind,
 )
 
 MAX_FALLBACK_DEPTH = 1
+
+
+class RouteKind(Enum):
+    """How a flow ended up being carried."""
+
+    DIRECT = "direct"
+    INDIRECT = "indirect"          # one intermediate
+    DOUBLE_INDIRECT = "double"     # stale-state fallback, two intermediates
+    BLOCKED = "blocked"
+
+
+#: Production's int kind codes, in order, as :class:`RouteKind` labels.
+_KIND_BY_CODE = (RouteKind.DIRECT, RouteKind.INDIRECT,
+                 RouteKind.DOUBLE_INDIRECT, RouteKind.BLOCKED)
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,6 @@ class ScalarIndirectRouter(IndirectRouter):
             kind=_KIND_BY_CODE[code], path=path,
             reservations=self._reserve(path, slots),
             used_stale_fallback=code == DOUBLE_INDIRECT)
-        self.stats[decision.kind] += 1
         return decision
 
     def release(self, decision: RouteDecision) -> None:
@@ -87,9 +102,7 @@ def route(router: IndirectRouter, src: int, dst: int, slots: int = 1
     (code, path, reservations, used_stale_fallback)."""
     if src == dst:
         raise ValueError("source equals destination")
-    outcome = route_core(router, src, dst, slots, depth=0)
-    router.stats[_KIND_BY_CODE[outcome[0]]] += 1
-    return outcome
+    return route_core(router, src, dst, slots, depth=0)
 
 
 def route_core(router: IndirectRouter, src: int, dst: int, slots: int,

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.network.routing import RouteKind
 from repro.network.simulator import AWGRNetworkSimulator, SimulationReport
 from repro.network.traffic import FlowBatch
 from tests.oracles.flows import Flow, to_flows
-from tests.oracles.routing import RouteDecision, ScalarIndirectRouter
+from tests.oracles.routing import (RouteDecision, RouteKind,
+                                   ScalarIndirectRouter)
 
 
 class ScalarAWGRNetworkSimulator(AWGRNetworkSimulator):

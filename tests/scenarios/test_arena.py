@@ -84,10 +84,9 @@ class TestArenaReport:
 
     def test_rows_carry_power_and_efficiency(self, arena):
         for row in arena.rows():
-            assert row["power_w"] is None or row["power_w"] > 0
-            if row["power_w"]:
-                assert row["gbps_per_watt"] == pytest.approx(
-                    row["carried_gbps"] / row["power_w"])
+            assert row["power_w"] > 0
+            assert row["gbps_per_watt"] == pytest.approx(
+                row["carried_gbps"] / row["power_w"])
 
     def test_frontiers_are_ordered(self, arena):
         iso_perf = arena.iso_performance()
@@ -97,7 +96,7 @@ class TestArenaReport:
         iso_power = arena.iso_power()
         carried = [r["iso_carried_gbps"] for r in iso_power]
         assert carried == sorted(carried, reverse=True)
-        # Both frontiers cover every powered contender.
+        # Both frontiers cover every contender.
         assert len(iso_perf) == len(arena.frontier_points())
         assert len(iso_power) == len(arena.frontier_points())
 

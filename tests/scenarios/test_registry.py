@@ -32,9 +32,9 @@ class TestAvailableBackends:
         # else honours them. Every core backend has a power model.
         for name in CORE_BACKENDS:
             caps = backend_info(name).capabilities()
-            assert set(caps) == {"fail_plane", "power"}
-            assert caps["power"] is True
+            assert set(caps) == {"fail_plane"}
             assert caps["fail_plane"] is (name != "electronic")
+            assert make_backend(name, n_nodes=8).power_w() > 0
 
 
 class TestBackendInfoLookup:
@@ -59,7 +59,7 @@ class TestRegisterBackend:
         the add-a-backend contract the README documents."""
 
         @register_backend("_probe", description="test-only",
-                          fail_plane=False, power=False)
+                          fail_plane=False)
         class ProbeBackend:
             def __init__(self, n_nodes, links_per_pair=9):
                 self.n_nodes = n_nodes

@@ -151,7 +151,49 @@ class TestConcurrentSessions:
             assert epochs == reference_payloads(scenario, seed=seed)
 
 
+def inline(**changes):
+    """An inline ``wire_scenario`` config with fields replaced."""
+    return {**wire_scenario(3).to_config(), **changes}
+
+
+#: Submit bodies no session can be built from: a backend that cannot
+#: be built with the seed or params, an event it rejects, a bad
+#: checkpoint cadence or horizon, and scenario configs that build no
+#: scenario.
+REJECTED_SUBMITS = {
+    "negative-seed": {"scenario": "demo", "base_seed": -1},
+    "zero-planes": {"scenario": "demo", "backend_params": {"planes": 0}},
+    "string-planes": {"scenario": "demo",
+                      "backend_params": {"planes": "x"}},
+    "zero-switches": {"scenario": "demo", "backend": "wss",
+                      "backend_params": {"n_switches": 0}},
+    "event-fails-plane-99": {"scenario": inline(events=[
+        {"epoch": 1, "action": "fail_plane", "value": 99}])},
+    "zero-checkpoint-epochs": {"scenario": "demo",
+                               "checkpoint_epochs": 0},
+    "zero-epochs": {"scenario": "demo", "n_epochs": 0},
+    "negative-epochs": {"scenario": "demo", "n_epochs": -5},
+    "one-node": {"scenario": inline(n_nodes=1)},
+    "unknown-episode-kind": {"scenario": inline(
+        episodes=[{"kind": "chaos"}])},
+    "unknown-episode-field": {"scenario": inline(
+        episodes=[{"kind": "uniform", "burstiness": 2}])},
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("body", REJECTED_SUBMITS.values(),
+                             ids=REJECTED_SUBMITS.keys())
+    def test_unbuildable_submit_400_creates_no_session(self, service,
+                                                       body):
+        client, gateway = service
+        before = gateway.pool.list_ids()
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/sessions", body)
+        assert err.value.status == 400
+        assert gateway.pool.list_ids() == before
+        assert client.metrics()["recoveries_total"] == 0
+
     def test_unknown_session_404(self, service):
         client, _ = service
         for call in (lambda: client.session("nope"),
